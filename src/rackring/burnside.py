@@ -17,7 +17,7 @@ from math import isqrt
 from . import enumeration
 from .canonical import canonical_form, canonical_key, key_table, table_bytes
 from .cycles import CycleVector
-from .racks import RackTable, cycle_rack, product, trivial
+from .racks import RackTable, _significant_lines, cycle_rack, product, trivial
 from .structure import connected_parts, is_connected, profile
 
 
@@ -306,10 +306,7 @@ def format_element(x: BurnsideElement, registry: ClassRegistry) -> str:
 def parse_element(text: str, registry: ClassRegistry) -> BurnsideElement:
     """Parse the file form; keys are self-describing and register themselves."""
     out = BurnsideElement()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _significant_lines(text):
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected `<coefficient> <hex key>`")

@@ -6,6 +6,10 @@ flag, cycle type of the left multiplication, inner-orbit size, then
 iterated neighborhood signatures) prune the search equivariantly, so equal
 keys characterize isomorphic tables and the canonical representative of a
 canonical representative is itself.
+
+The module also owns the one propagate-and-backtrack morphism kernel,
+`_extend`.  Automorphisms, orbit tests, morphism censuses and coloring
+counts of presented quandles all run on it.
 """
 
 from __future__ import annotations
@@ -191,64 +195,88 @@ def find_isomorphism(a: RackTable, b: RackTable):
     return pb.inverse() * pa
 
 
-def automorphisms(r: RackTable) -> list:
-    """All structure-preserving permutations, sorted by image tuple."""
-    n = r.n
-    if n == 0:
-        return [Perm.identity(0)]
-    table = r.table
-    colors = _refine(table, _initial_colors(table))
+def _table_constraints(table):
+    """Propagation constraints of a rack table: each point x takes part in
+    m = x |> u and m = u |> x for every point u."""
+    n = len(table)
+    return [
+        [(x, u, table[x][u]) for u in range(n)] + [(u, x, table[u][x]) for u in range(n)]
+        for x in range(n)
+    ]
+
+
+def _extend(constraints, target, *, colors=None, first=False, seed=None):
+    """Every map f from the source points into a target rack table with
+    f(m) = f(i) |> f(j) for each constraint (i, j, m), as sorted image tuples.
+
+    The source has one point per entry of `constraints`, and entry x lists
+    the constraints with x as i or j.  Branching takes the first unassigned
+    point; assigning it propagates every image the constraints force.  A
+    coloring keeps each point on targets of its own color and makes f
+    injective.  `first` stops after one completion, and `seed` fixes one
+    (source, target) pair before the search.
+    """
+    n = len(constraints)
     image = [None] * n
-    used = [False] * n
-    assigned = []
+    used = [False] * len(target)
     out = []
 
-    def try_assign(v, w):
-        """Assign image[v] = w and propagate; return trail or None on conflict."""
+    def assign(v, w):
+        """Set image[v] = w and propagate; return the trail, or None on conflict."""
         trail = []
         queue = [(v, w)]
         while queue:
             x, y = queue.pop()
             if image[x] is not None:
                 if image[x] != y:
-                    _rollback(trail)
+                    rollback(trail)
                     return None
                 continue
-            if used[y] or colors[x] != colors[y]:
-                _rollback(trail)
+            if colors is not None and (used[y] or colors[x] != colors[y]):
+                rollback(trail)
                 return None
             image[x] = y
             used[y] = True
-            assigned.append(x)
             trail.append(x)
-            for u in assigned:
-                queue.append((table[x][u], table[y][image[u]]))
-                queue.append((table[u][x], table[image[u]][y]))
+            for i, j, m in constraints[x]:
+                fi, fj = image[i], image[j]
+                if fi is not None and fj is not None:
+                    queue.append((m, target[fi][fj]))
         return trail
 
-    def _rollback(trail):
-        for x in reversed(trail):
+    def rollback(trail):
+        for x in trail:
             used[image[x]] = False
             image[x] = None
-            assigned.pop()
 
     def rec():
         v = next((x for x in range(n) if image[x] is None), None)
         if v is None:
-            out.append(Perm(image))
-            return
-        for w in range(n):
-            if used[w] or colors[w] != colors[v]:
+            out.append(tuple(image))
+            return first
+        for w in range(len(target)):
+            if colors is not None and (used[w] or colors[w] != colors[v]):
                 continue
-            trail = try_assign(v, w)
+            trail = assign(v, w)
             if trail is None:
                 continue
-            rec()
-            _rollback(trail)
+            stop = rec()
+            rollback(trail)
+            if stop:
+                return True
+        return False
 
-    rec()
-    out.sort(key=lambda p: p.images)
+    if seed is None or assign(*seed) is not None:
+        rec()
+    out.sort()
     return out
+
+
+def automorphisms(r: RackTable) -> list:
+    """All structure-preserving permutations, sorted by image tuple."""
+    table = r.table
+    colors = _refine(table, _initial_colors(table))
+    return [Perm(f) for f in _extend(_table_constraints(table), table, colors=colors)]
 
 
 def automorphism_group(r: RackTable) -> PermGroup:
@@ -261,61 +289,10 @@ def automorphism_group(r: RackTable) -> PermGroup:
 def has_automorphism_mapping(r: RackTable, source: int, target: int) -> bool:
     """Existence of an automorphism with the given image of one point.
 
-    Runs the same propagation search as `automorphisms` but stops at the
-    first completion, so orbit questions stay cheap on racks whose full
-    automorphism group would be enormous.
+    Stops at the first completion, so orbit questions stay cheap on racks
+    whose full automorphism group would be enormous.
     """
-    n = r.n
     table = r.table
     colors = _refine(table, _initial_colors(table))
-    if colors[source] != colors[target]:
-        return False
-    image = [None] * n
-    used = [False] * n
-    assigned = []
-
-    def try_assign(v, w):
-        trail = []
-        queue = [(v, w)]
-        while queue:
-            x, y = queue.pop()
-            if image[x] is not None:
-                if image[x] != y:
-                    rollback(trail)
-                    return None
-                continue
-            if used[y] or colors[x] != colors[y]:
-                rollback(trail)
-                return None
-            image[x] = y
-            used[y] = True
-            assigned.append(x)
-            trail.append(x)
-            for u in assigned:
-                queue.append((table[x][u], table[y][image[u]]))
-                queue.append((table[u][x], table[image[u]][y]))
-        return trail
-
-    def rollback(trail):
-        for x in reversed(trail):
-            used[image[x]] = False
-            image[x] = None
-            assigned.pop()
-
-    def rec():
-        v = next((x for x in range(n) if image[x] is None), None)
-        if v is None:
-            return True
-        for w in range(n):
-            if used[w] or colors[w] != colors[v]:
-                continue
-            trail = try_assign(v, w)
-            if trail is None:
-                continue
-            if rec():
-                return True
-            rollback(trail)
-        return False
-
-    trail = try_assign(source, target)
-    return trail is not None and rec()
+    found = _extend(_table_constraints(table), table, colors=colors, first=True, seed=(source, target))
+    return bool(found)

@@ -31,7 +31,7 @@ from .groups import (
     rack_to_crossed,
 )
 from .marks import census, colorings, parse_presentation
-from .racks import FormatError, InvalidRackError, RackTable, format_rack, parse_rack
+from .racks import FormatError, InvalidRackError, RackTable, _significant_lines, format_rack, parse_rack
 from .structure import connected_parts, depth, inn_orbits, is_connected, is_homogeneous, is_irreducible, profile
 
 DEFAULT_WORKSPACE = "./rackring-data"
@@ -73,11 +73,8 @@ class Workspace:
         ring = BurnsideRing(registry)
         if os.path.exists(self.registry_file):
             with open(self.registry_file, encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-            for lineno, raw in enumerate(lines, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
+                text = fh.read()
+            for lineno, line in _significant_lines(text):
                 parts = line.split()
                 if len(parts) != 4:
                     raise FormatError("expected `<id> <order> <flags> <hex key>`", lineno)
@@ -96,11 +93,8 @@ class Workspace:
                     raise FormatError(f"corrupt registry entry {line!r}", lineno)
         if os.path.exists(self.products_file):
             with open(self.products_file, encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-            for lineno, raw in enumerate(lines, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
+                text = fh.read()
+            for lineno, line in _significant_lines(text):
                 tokens = line.split()
                 if len(tokens) < 3 or tokens[2] != "=" or len(tokens) % 2 == 0:
                     raise FormatError("expected `<hex> <hex> = [<coeff> <hex> ...]`", lineno)

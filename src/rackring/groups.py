@@ -14,7 +14,7 @@ from itertools import permutations
 
 from .canonical import automorphisms
 from .perms import Perm
-from .racks import FormatError, RackTable
+from .racks import FormatError, RackTable, _significant_lines
 
 
 class FinGroup:
@@ -471,11 +471,7 @@ def is_equivalence(f, w, x: CrossedGSet, y: CrossedGSet) -> bool:
 
 def parse_group(text: str) -> FinGroup:
     """Parse `group <n>` followed by n Cayley rows; identity must be index 0."""
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append((lineno, line))
+    lines = list(_significant_lines(text))
     if not lines:
         raise FormatError("empty input, expected `group <n>` header")
     lineno, header = lines[0]
@@ -505,11 +501,7 @@ def parse_group(text: str) -> FinGroup:
 
 def parse_sl2(text: str):
     """Parse `sl2 <p>` plus generator matrices, one `a b c d` per line."""
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append((lineno, line))
+    lines = list(_significant_lines(text))
     if not lines:
         raise FormatError("empty input, expected `sl2 <p>` header")
     lineno, header = lines[0]
@@ -520,6 +512,8 @@ def parse_sl2(text: str):
         p = int(parts[1])
     except ValueError:
         raise FormatError(f"bad prime {parts[1]!r}", lineno) from None
+    if p < 2:
+        raise FormatError(f"modulus {p} is below 2", lineno)
     matrices = []
     for lineno, line in lines[1:]:
         try:

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .burnside import BurnsideElement, BurnsideRing
-from .canonical import automorphisms, canonical_key, key_order, key_table
-from .racks import FormatError, RackTable
+from .canonical import _extend, _table_constraints, automorphisms, canonical_key, key_order, key_table
+from .racks import FormatError, RackTable, _significant_lines
 from .structure import is_connected
 
 
@@ -21,54 +21,7 @@ def enumerate_morphisms(c: RackTable, r: RackTable) -> list:
     """All maps f with f(a |> b) = f(a) |> f(b), as image tuples, sorted."""
     if c.n == 0:
         raise ValueError("the source must be nonempty")
-    if r.n == 0:
-        return []
-    ct, rt = c.table, r.table
-    n = c.n
-    image = [None] * n
-    assigned = []
-    out = []
-
-    def try_assign(v, w):
-        trail = []
-        queue = [(v, w)]
-        while queue:
-            x, y = queue.pop()
-            if image[x] is not None:
-                if image[x] != y:
-                    rollback(trail)
-                    return None
-                continue
-            image[x] = y
-            assigned.append(x)
-            trail.append(x)
-            for u in assigned:
-                queue.append((ct[x][u], rt[y][image[u]]))
-                queue.append((ct[u][x], rt[image[u]][y]))
-        return trail
-
-    def rollback(trail):
-        for x in reversed(trail):
-            image[x] = None
-            assigned.pop()
-
-    def rec():
-        # Propagation in try_assign forces every derivable image, so the
-        # branch order only affects speed, never the result set.
-        v = next((x for x in range(n) if image[x] is None), None)
-        if v is None:
-            out.append(tuple(image))
-            return
-        for w in range(r.n):
-            trail = try_assign(v, w)
-            if trail is None:
-                continue
-            rec()
-            rollback(trail)
-
-    rec()
-    out.sort()
-    return out
+    return _extend(_table_constraints(c.table), r.table)
 
 
 @dataclass
@@ -145,6 +98,8 @@ class PresentedQuandle:
     relations: tuple  # of (kind, i, j, m), kind in {"apply", "unapply"}
 
     def __post_init__(self):
+        if self.generators < 0:
+            raise ValueError(f"negative generator count {self.generators}")
         for kind, i, j, m in self.relations:
             if kind not in ("apply", "unapply"):
                 raise ValueError(f"unknown relation kind {kind!r}")
@@ -159,43 +114,18 @@ def trefoil_presentation() -> PresentedQuandle:
 
 def colorings(p: PresentedQuandle, r: RackTable) -> int:
     """Number of generator assignments into r satisfying every relation."""
-    inv_rows = [row_perm.inverse().images for row_perm in r.row_perms()]
-
-    def satisfied(assign):
-        for kind, i, j, m in p.relations:
-            gi, gj, gm = assign[i], assign[j], assign[m]
-            if gi is None or gj is None or gm is None:
-                continue
-            value = r.table[gi][gj] if kind == "apply" else inv_rows[gi][gj]
-            if value != gm:
-                return False
-        return True
-
-    count = 0
-    assign = [None] * p.generators
-
-    def rec(v):
-        nonlocal count
-        if v == p.generators:
-            count += 1
-            return
-        for w in range(r.n):
-            assign[v] = w
-            if satisfied(assign):
-                rec(v + 1)
-            assign[v] = None
-
-    rec(0)
-    return count
+    constraints = [[] for _ in range(p.generators)]
+    for kind, i, j, m in p.relations:
+        # i rdinv j = m holds exactly when i rd m = j
+        relation = (i, j, m) if kind == "apply" else (i, m, j)
+        for x in {relation[0], relation[1]}:
+            constraints[x].append(relation)
+    return len(_extend(constraints, r.table))
 
 
 def parse_presentation(text: str) -> PresentedQuandle:
     """Parse `qpres <k>` followed by `i rd j = m` / `i rdinv j = m` lines."""
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append((lineno, line))
+    lines = list(_significant_lines(text))
     if not lines:
         raise FormatError("empty input, expected `qpres <k>` header")
     lineno, header = lines[0]
@@ -206,6 +136,8 @@ def parse_presentation(text: str) -> PresentedQuandle:
         k = int(parts[1])
     except ValueError:
         raise FormatError(f"bad generator count {parts[1]!r}", lineno) from None
+    if k < 0:
+        raise FormatError(f"negative generator count {k}", lineno)
     relations = []
     for lineno, line in lines[1:]:
         tokens = line.split()

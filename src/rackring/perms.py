@@ -9,7 +9,6 @@ attempt at large-degree performance.
 from __future__ import annotations
 
 import math
-from itertools import permutations as _sym
 
 from .cycles import CycleVector
 
@@ -129,6 +128,28 @@ def centralizer_order_in_sym(p: Perm) -> int:
     return out
 
 
+def _union_find(points, pairs):
+    """Classes of the equivalence on `points` that the pairs generate, as
+    sorted tuples ordered by least element."""
+    parent = {x: x for x in points}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, y in pairs:
+        if x != y:
+            i, j = find(x), find(y)
+            if i != j:
+                parent[max(i, j)] = min(i, j)
+    classes = {}
+    for x in parent:
+        classes.setdefault(find(x), []).append(x)
+    return tuple(tuple(sorted(c)) for _, c in sorted(classes.items()))
+
+
 class PermGroup:
     """Permutation group given by generators, with a stabilizer chain.
 
@@ -221,23 +242,8 @@ class PermGroup:
 
     def orbits(self):
         """Orbit partition of {0..n-1}: sorted orbits, ordered by least element."""
-        parent = list(range(self.degree))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for g in self.generators:
-            for i in range(self.degree):
-                a, b = find(i), find(g(i))
-                if a != b:
-                    parent[max(a, b)] = min(a, b)
-        groups = {}
-        for i in range(self.degree):
-            groups.setdefault(find(i), []).append(i)
-        return tuple(tuple(groups[root]) for root in sorted(groups))
+        points = range(self.degree)
+        return _union_find(points, ((i, g(i)) for g in self.generators for i in points))
 
     def is_transitive(self):
         return self.degree >= 1 and len(self.orbits()) == 1
@@ -270,7 +276,3 @@ def group_closure_from(degree, perms):
             group = PermGroup(degree, tuple(kept))
     return group
 
-
-def symmetric_group_elements(degree):
-    """All permutations of the given degree, in lexicographic order."""
-    return [Perm(images) for images in _sym(range(degree))]

@@ -18,6 +18,7 @@ from .groups import (
     cyclic_group,
     diagonal_product_fixed_group,
     dihedral_group,
+    group_from_permutations,
     is_equivalence,
     rack_to_crossed,
     symmetric_group,
@@ -175,33 +176,13 @@ def inner_crossed_variant_check(max_order: int = 4) -> SurveyResult:
     """The crossing of a rack lands in its inner group; check that crossing
     over the inner group is equivalent to crossing over the full
     automorphism group for every small rack."""
-    from .perms import Perm
-    from .groups import FinGroup
-
     result = SurveyResult("inner versus full automorphism group as crossing target")
     for order in range(1, max_order + 1):
         for table in enumerate_racks(EnumerationFilter(order)):
             full = rack_to_crossed(table)
             rows = [table.row_perm(a) for a in range(table.n)]
-            identity = Perm.identity(table.n)
-            elements = [identity]
-            index = {identity: 0}
-            frontier = [identity]
-            while frontier:
-                x = frontier.pop(0)
-                for g in rows:
-                    y = g * x
-                    if y not in index:
-                        index[y] = len(elements)
-                        elements.append(y)
-                        frontier.append(y)
-            cayley = [[index[p * q] for q in elements] for p in elements]
-            inner = CrossedGSet(
-                FinGroup(cayley, _checked=True),
-                table.n,
-                tuple(elements),
-                tuple(index[rows[a]] for a in range(table.n)),
-            )
+            group, elements = group_from_permutations(table.n, rows)
+            inner = CrossedGSet(group, table.n, tuple(elements), tuple(elements.index(row) for row in rows))
             mapping = [full.action.index(p) for p in elements]
             ok = is_equivalence(mapping, list(range(table.n)), inner, full)
             result.checked += 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cycles import CycleVector
-from .perms import PermGroup
+from .perms import PermGroup, _union_find
 from .racks import RackTable
 
 MAX_ORBITS_FOR_IDEALS = 12
@@ -26,26 +26,7 @@ def _orbit_partition(table, indices=None):
     """Orbits of the rows' action, as sorted tuples ordered by least element."""
     if indices is None:
         indices = range(len(table))
-    indices = list(indices)
-    pos = {x: i for i, x in enumerate(indices)}
-    parent = list(range(len(indices)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a in indices:
-        row = table[a]
-        for b in indices:
-            i, j = find(pos[b]), find(pos[row[b]])
-            if i != j:
-                parent[max(i, j)] = min(i, j)
-    groups = {}
-    for i, x in enumerate(indices):
-        groups.setdefault(find(i), []).append(x)
-    return tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
+    return _union_find(indices, ((b, table[a][b]) for a in indices for b in indices))
 
 
 def inn_orbits(r: RackTable) -> tuple:
@@ -70,24 +51,9 @@ def is_homogeneous(r: RackTable) -> bool:
 
 def irreducible_components(r: RackTable) -> tuple:
     """Finest partition with a ~ b whenever a |> b != b or b |> a != a."""
-    parent = list(range(r.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in range(r.n):
-        for b in range(r.n):
-            if r.table[a][b] != b or r.table[b][a] != a:
-                i, j = find(a), find(b)
-                if i != j:
-                    parent[max(i, j)] = min(i, j)
-    groups = {}
-    for x in range(r.n):
-        groups.setdefault(find(x), []).append(x)
-    return tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
+    t = r.table
+    points = range(r.n)
+    return _union_find(points, ((a, b) for a in points for b in points if t[a][b] != b or t[b][a] != a))
 
 
 def is_irreducible(r: RackTable) -> bool:

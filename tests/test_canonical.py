@@ -16,6 +16,7 @@ from rackring import (
     dihedral,
     disjoint_union,
     find_isomorphism,
+    has_automorphism_mapping,
     inner_group,
     key_order,
     key_table,
@@ -116,6 +117,31 @@ def test_automorphisms_satisfy_conjugation_identity(racks_by_order):
             for alpha in automorphisms(r):
                 for x in range(n):
                     assert rows[alpha(x)] == alpha * rows[x] * alpha.inverse()
+
+
+def brute_automorphisms(r):
+    """Oracle: every permutation that preserves the table, in lexicographic order."""
+    n = r.n
+    return [
+        p
+        for p in permutations(range(n))
+        if all(p[r.apply(a, b)] == r.apply(p[a], p[b]) for a in range(n) for b in range(n))
+    ]
+
+
+def test_automorphisms_match_brute_force(racks_by_order):
+    for n in range(5):
+        for r in racks_by_order[n]:
+            assert [alpha.images for alpha in automorphisms(r)] == brute_automorphisms(r)
+
+
+def test_orbit_tests_match_brute_force(racks_by_order):
+    for n in range(1, 5):
+        for r in racks_by_order[n]:
+            auts = brute_automorphisms(r)
+            for s in range(n):
+                for t in range(n):
+                    assert has_automorphism_mapping(r, s, t) == any(p[s] == t for p in auts)
 
 
 def test_inner_group_inside_automorphism_group(racks_by_order):

@@ -195,6 +195,9 @@ def test_color_command(capsys, tmp_path, dih3_file):
     code, out, _ = run(capsys, "color", str(pres), dih3_file)
     assert code == 0
     assert out.strip() == "9"
+    pres.write_text("qpres -1\n")
+    code, _, err = run(capsys, "color", str(pres), dih3_file)
+    assert code == 1 and "line 1" in err
 
 
 def test_enumerate_command(capsys, tmp_path):
@@ -259,6 +262,9 @@ def test_coset_rack_sl2_file(capsys, tmp_path):
     code, out, _ = run(capsys, "coset-rack", str(sl2_file), "--h", h, "--mu", str(mu))
     assert code == 0
     assert out.splitlines()[0] == "order 8 quandle false centralizing true"
+    sl2_file.write_text("sl2 0\n1 1 0 1\n")
+    code, _, err = run(capsys, "coset-rack", str(sl2_file), "--h", "0", "--mu", "0")
+    assert code == 1 and "line 1" in err
 
 
 def test_conj_quandle_command(capsys, tmp_path):

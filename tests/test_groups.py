@@ -132,6 +132,10 @@ def test_sl2_file_format():
     assert group.n == 24
     with pytest.raises(FormatError):
         parse_sl2("sl2 3\n1 1 0 2\n")  # determinant 2
+    for p in (0, 1, -3):
+        with pytest.raises(FormatError) as exc:
+            parse_sl2(f"# modulus below 2\nsl2 {p}\n1 0 0 1\n")
+        assert exc.value.line == 2
 
 
 def test_group_file_round_trip():

@@ -190,6 +190,23 @@ def test_colorings_additive_for_trefoil(racks_by_order):
                 ) + colorings(trefoil, r.restrict(right))
 
 
+def test_colorings_with_mixed_relations_match_brute_force(racks_by_order):
+    # generator 3 occurs in no relation, so it multiplies the count by |r|
+    pres = PresentedQuandle(4, (("apply", 0, 1, 2), ("unapply", 2, 0, 1), ("unapply", 1, 1, 0)))
+    for n in range(5):
+        for r in racks_by_order[n]:
+            inverse = [r.row_perm(a).inverse() for a in range(n)]
+            brute = sum(
+                1
+                for f in iproduct(range(n), repeat=pres.generators)
+                if all(
+                    (r.apply(f[i], f[j]) if kind == "apply" else inverse[f[i]](f[j])) == f[m]
+                    for kind, i, j, m in pres.relations
+                )
+            )
+            assert colorings(pres, r) == brute
+
+
 def test_cycle_sources_see_only_the_diagonal_of_quandles(quandles_by_order):
     # morphisms from a cycle rack into a quandle are the constant maps at
     # self-fixed points, i.e. exactly |Q| of them; non-quandle targets can
@@ -223,6 +240,11 @@ def test_presentation_file_round_trip():
     with pytest.raises(FormatError) as exc:
         parse_presentation("qpres 2\n0 rd 5 = 1\n")
     assert exc.value.line == 2
+    with pytest.raises(FormatError) as exc:
+        parse_presentation("# no generators\nqpres -1\n")
+    assert exc.value.line == 2
+    with pytest.raises(ValueError):
+        PresentedQuandle(-1, ())
 
 
 def test_empty_source_rejected():
