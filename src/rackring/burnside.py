@@ -74,17 +74,18 @@ class ClassRegistry:
         return list(self._by_id)
 
     def merge_entry(self, class_id: int, key: bytes):
-        """Install a loaded entry with a fixed id (registry file loading)."""
+        """Install a stored entry under its stored id (registry file loading).
+
+        The key is decoded and registered like any new class, so it must be
+        the canonical key of a connected rack that is not registered yet.
+        """
         if class_id != len(self._by_id):
             raise ValueError(f"ids must be contiguous; expected {len(self._by_id)}, got {class_id}")
-        table = key_table(key)
-        if canonical_key(table) != key:
+        registered = self.register(key_table(key))
+        if registered != class_id:
+            raise ValueError(f"duplicate of class {registered}")
+        if self._by_id[class_id].key != key:
             raise ValueError("stored key does not match its representative")
-        if not is_connected(table):
-            raise ValueError("registry entries must be connected")
-        entry = ClassEntry(class_id, key, table.n, table, table.is_quandle())
-        self._by_id.append(entry)
-        self._by_key[key] = entry
 
 
 class BurnsideElement(dict):
@@ -184,21 +185,21 @@ class BurnsideRing:
             self.product_memo[pair] = memo
         return memo
 
-    def power(self, x: BurnsideElement, k: int) -> BurnsideElement:
-        """Replace every representative's operation by its k-th iterate."""
+    def _map_representatives(self, x: BurnsideElement, transform) -> BurnsideElement:
+        """Extend a rack transform linearly through the class representatives."""
         out = BurnsideElement()
         for i, a in x.items():
-            for j, c in self.of_rack(self.registry.entry(i).table.power(k)).items():
+            for j, c in self.of_rack(transform(self.registry.entry(i).table)).items():
                 out._bump(j, a * c)
         return out
 
+    def power(self, x: BurnsideElement, k: int) -> BurnsideElement:
+        """Replace every representative's operation by its k-th iterate."""
+        return self._map_representatives(x, lambda table: table.power(k))
+
     def untwist(self, x: BurnsideElement) -> BurnsideElement:
         """Retraction onto quandle classes: untwist each representative."""
-        out = BurnsideElement()
-        for i, a in x.items():
-            for j, c in self.of_rack(self.registry.entry(i).table.untwist()).items():
-                out._bump(j, a * c)
-        return out
+        return self._map_representatives(x, RackTable.untwist)
 
     # -- maps to and from cycle vectors ---------------------------------------
 
@@ -258,6 +259,7 @@ class BurnsideRing:
     def _find_split(self, q: RackTable, *, bound=None):
         """Smallest factorization (A_id, B_id) of q, or None if prime."""
         n = q.n
+        target = canonical_key(q)
         for d in range(2, isqrt(n) + 1):
             if n % d:
                 continue
@@ -265,7 +267,7 @@ class BurnsideRing:
                 left = self.registry.entry(a_id).table
                 for b_id in self.connected_quandle_classes(n // d, bound=bound):
                     right = self.registry.entry(b_id).table
-                    if canonical_key(product(left, right)) == canonical_key(q):
+                    if canonical_key(product(left, right)) == target:
                         return a_id, b_id
         return None
 
@@ -317,7 +319,7 @@ def parse_element(text: str, registry: ClassRegistry) -> BurnsideElement:
             raise ValueError(f"line {lineno}: bad coefficient or key") from None
         try:
             table = key_table(key)
-        except Exception:
-            raise ValueError(f"line {lineno}: malformed key") from None
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: malformed key: {exc}") from None
         out._bump(registry.register(table), coeff)
     return out

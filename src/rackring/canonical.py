@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import struct
 
-from .perms import Perm, PermGroup, group_closure_from
+from .perms import Perm, PermGroup, _cycle_lengths, group_closure_from
 from .racks import RackTable
 from .structure import _orbit_partition
 
@@ -36,22 +36,6 @@ def _initial_colors(table):
         invariants.append((row[a] == a, lengths, orbit_size[a]))
     ranking = {inv: i for i, inv in enumerate(sorted(set(invariants)))}
     return [ranking[inv] for inv in invariants]
-
-
-def _cycle_lengths(row):
-    seen = [False] * len(row)
-    lengths = []
-    for i in range(len(row)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = row[j]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
 
 
 def _refine(table, colors):
@@ -173,9 +157,17 @@ def key_order(key: bytes) -> int:
 
 
 def key_table(key: bytes) -> RackTable:
-    n = key_order(key)
+    """The rack table a stored key serializes, as stored (not re-canonicalized).
+
+    This is the one decoder for keys read from files.  It raises ValueError
+    unless the key is a 4-byte order n followed by exactly n*n two-byte
+    entries, and InvalidRackError (a ValueError) unless they form a rack.
+    """
+    n = key_order(key) if len(key) >= 4 else None
+    if n is None or len(key) != 4 + 2 * n * n:
+        raise ValueError(f"key of {len(key)} bytes is not a 4-byte order n and n*n 2-byte entries")
     entries = struct.unpack(f">{n * n}H", key[4:])
-    return RackTable._wrap(entries[a * n : (a + 1) * n] for a in range(n))
+    return RackTable(entries[a * n : (a + 1) * n] for a in range(n))
 
 
 def are_isomorphic(a: RackTable, b: RackTable) -> bool:

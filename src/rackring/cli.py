@@ -14,10 +14,9 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from struct import error as struct_error
 
 from .burnside import BurnsideElement, BurnsideRing, ClassRegistry, format_element, parse_element, render_element
-from .canonical import canonical_form, canonical_key, find_isomorphism, key_table
+from .canonical import canonical_form, canonical_key, find_isomorphism, table_bytes
 from .enumeration import EnumerationFilter, enumerate_racks
 from .groups import (
     check_coset_pair,
@@ -87,9 +86,8 @@ class Workspace:
                     registry.merge_entry(class_id, key)
                 except ValueError as exc:
                     raise FormatError(str(exc), lineno) from None
-                entry = registry.entry(class_id)
-                expected_flags = "cq" if entry.quandle else "c-"
-                if entry.order != order or parts[2] != expected_flags:
+                # the line must read as save_ring writes it, up to number and hex spelling
+                if _registry_line(registry.entry(class_id)) != f"{class_id} {order} {parts[2]} {key.hex()}":
                     raise FormatError(f"corrupt registry entry {line!r}", lineno)
         if os.path.exists(self.products_file):
             with open(self.products_file, encoding="utf-8") as fh:
@@ -99,33 +97,25 @@ class Workspace:
                 if len(tokens) < 3 or tokens[2] != "=" or len(tokens) % 2 == 0:
                     raise FormatError("expected `<hex> <hex> = [<coeff> <hex> ...]`", lineno)
                 try:
-                    left = registry.register(key_table(bytes.fromhex(tokens[0])))
-                    right = registry.register(key_table(bytes.fromhex(tokens[1])))
-                    element = BurnsideElement()
-                    for i in range(3, len(tokens), 2):
-                        coeff = int(tokens[i])
-                        table = key_table(bytes.fromhex(tokens[i + 1]))
-                        element._bump(registry.register(table), coeff)
-                except (ValueError, struct_error) as exc:
+                    entries = [registry.by_key(bytes.fromhex(tok)) for tok in tokens[:2] + tokens[4::2]]
+                    coeffs = [int(tok) for tok in tokens[3::2]]
+                except ValueError as exc:
                     raise FormatError(f"corrupt product entry: {exc}", lineno) from None
+                if None in entries:
+                    raise FormatError("product key names no registry class", lineno)
+                left, right, *terms = (entry.id for entry in entries)
                 pair = (left, right) if left <= right else (right, left)
-                ring.product_memo[pair] = element
+                ring.product_memo[pair] = BurnsideElement(zip(terms, coeffs))
         return ring
 
     def save_ring(self, ring: BurnsideRing):
+        """Replace the registry, then the products memo, then add missing
+        sidecars.  Each file is replaced atomically, so after a crash every
+        product key and every sidecar names a class of the registry on disk."""
         os.makedirs(self.tables_dir, exist_ok=True)
         registry = ring.registry
-        lines = []
-        for entry in registry.entries():
-            flags = "cq" if entry.quandle else "c-"
-            lines.append(f"{entry.id} {entry.order} {flags} {entry.key.hex()}")
-            # sidecars are named by id: full keys outgrow filename limits
-            table_path = os.path.join(self.tables_dir, f"{entry.id}.rack")
-            if not os.path.exists(table_path):
-                with open(table_path, "w", encoding="utf-8") as fh:
-                    fh.write(format_rack(entry.table))
-        with open(self.registry_file, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
+        lines = [_registry_line(e) for e in registry.entries()]
+        _write_text(self.registry_file, "\n".join(lines) + ("\n" if lines else ""))
         memo_lines = []
         for (i, j), element in sorted(ring.product_memo.items()):
             tokens = [registry.entry(i).key.hex(), registry.entry(j).key.hex(), "="]
@@ -133,8 +123,31 @@ class Workspace:
                 tokens.append(str(element[k]))
                 tokens.append(registry.entry(k).key.hex())
             memo_lines.append(" ".join(tokens))
-        with open(self.products_file, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(memo_lines) + ("\n" if memo_lines else ""))
+        _write_text(self.products_file, "\n".join(memo_lines) + ("\n" if memo_lines else ""))
+        for entry in registry.entries():
+            # sidecars are named by id: full keys outgrow filename limits
+            table_path = os.path.join(self.tables_dir, f"{entry.id}.rack")
+            if not os.path.exists(table_path):
+                _write_text(table_path, format_rack(entry.table))
+
+
+def _registry_line(entry) -> str:
+    """`<id> <order> <flags> <hex key>`, flags `cq` for quandles, `c-` otherwise."""
+    return f"{entry.id} {entry.order} {'cq' if entry.quandle else 'c-'} {entry.key.hex()}"
+
+
+def _write_text(path, text):
+    """Replace `path` by a file holding `text`: write a temporary file in the
+    same directory, then rename it over `path`, so readers and crashes see
+    the old content or the new, never a partial file."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _read_text(path):
@@ -147,6 +160,11 @@ def _read_text(path):
 
 def _load_rack_file(path) -> RackTable:
     return parse_rack(_read_text(path))
+
+
+def _element_report(element, registry):
+    terms = [{"coefficient": element[i], "key": registry.entry(i).key.hex()} for i in sorted(element)]
+    return {"element": terms}, [render_element(element, registry)]
 
 
 def _cycle_factors(vector) -> str:
@@ -195,7 +213,7 @@ def cmd_analyze(args):
 def cmd_canon(args):
     table = _load_rack_file(args.file)
     form, _ = canonical_form(table)
-    key = canonical_key(table).hex()
+    key = table_bytes(form).hex()
     lines = [f"order={table.n} key={key}"]
     lines.extend(" ".join(map(str, row)) for row in form.table)
     return {"order": table.n, "key": key, "table": [list(r) for r in form.table]}, lines
@@ -230,14 +248,7 @@ def cmd_burnside(args):
         ring = workspace.load_ring()
         element = ring.of_rack(table)
         workspace.save_ring(ring)
-    text = render_element(element, ring.registry)
-    report = {
-        "element": [
-            {"coefficient": element[i], "key": ring.registry.entry(i).key.hex()}
-            for i in sorted(element)
-        ]
-    }
-    return report, [text]
+    return _element_report(element, ring.registry)
 
 
 def cmd_mul(args):
@@ -249,16 +260,8 @@ def cmd_mul(args):
         result = ring.mul(x, y)
         workspace.save_ring(ring)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(format_element(result, ring.registry))
-    text = render_element(result, ring.registry)
-    report = {
-        "element": [
-            {"coefficient": result[i], "key": ring.registry.entry(i).key.hex()}
-            for i in sorted(result)
-        ]
-    }
-    return report, [text]
+        _write_text(args.output, format_element(result, ring.registry))
+    return _element_report(result, ring.registry)
 
 
 def cmd_marks(args):
@@ -295,13 +298,12 @@ def _emit_name(key_hex):
 def cmd_enumerate(args):
     filt = EnumerationFilter(args.order, quandle_only=args.quandle, connected_only=args.connected)
     tables = enumerate_racks(filt)
+    # enumerate_racks returns canonical forms, which are their own keys
+    keys = [table_bytes(t).hex() for t in tables]
     if args.emit:
         os.makedirs(args.emit, exist_ok=True)
-        for table in tables:
-            key = canonical_key(table).hex()
-            with open(os.path.join(args.emit, _emit_name(key)), "w", encoding="utf-8") as fh:
-                fh.write(format_rack(table))
-    keys = [canonical_key(t).hex() for t in tables]
+        for key, table in zip(keys, tables):
+            _write_text(os.path.join(args.emit, _emit_name(key)), format_rack(table))
     return {"count": len(tables), "keys": keys}, [str(len(tables))]
 
 
@@ -317,8 +319,7 @@ def cmd_coset_rack(args):
         raise ValueError("invalid pair: some commutator [h, mu] leaves the normal core")
     table = coset_rack(group, subgroup, args.mu)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(format_rack(table))
+        _write_text(args.output, format_rack(table))
     lines = [f"order {table.n} quandle {str(table.is_quandle()).lower()} centralizing {str(strict).lower()}"]
     lines.extend(" ".join(map(str, row)) for row in table.table)
     report = {
@@ -339,8 +340,7 @@ def cmd_conj_quandle(args):
         cls = {group.conj(g, rep) for g in range(group.n)}
         table = conjugation_class_quandle(group, cls)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(format_rack(table))
+        _write_text(args.output, format_rack(table))
     lines = [f"order {table.n}"]
     lines.extend(" ".join(map(str, row)) for row in table.table)
     return {"order": table.n, "table": [list(r) for r in table.table]}, lines
@@ -384,9 +384,7 @@ def cmd_registry(args):
             for e in entries
         ]
     }
-    lines = [f"{e.id} {e.order} {'cq' if e.quandle else 'c-'} {e.key.hex()}" for e in entries]
-    if not lines:
-        lines = ["(empty registry)"]
+    lines = [_registry_line(e) for e in entries] or ["(empty registry)"]
     return report, lines
 
 

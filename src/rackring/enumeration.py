@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .canonical import _cycle_lengths, canonical_form, table_bytes
+from .canonical import canonical_form, table_bytes
+from .perms import _cycle_lengths
 from .racks import RackTable
 from .structure import _orbit_partition
 

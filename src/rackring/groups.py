@@ -14,7 +14,7 @@ from itertools import permutations
 
 from .canonical import automorphisms
 from .perms import Perm
-from .racks import FormatError, RackTable, _significant_lines
+from .racks import FormatError, RackTable, _read_header, _read_int_rows
 
 
 class FinGroup:
@@ -156,21 +156,23 @@ def symmetric_group(m: int) -> FinGroup:
     return FinGroup(cayley, _checked=True)
 
 
-def group_from_permutations(degree: int, gens) -> tuple:
-    """Closure of permutation generators: (FinGroup, element Perm list)."""
-    identity = Perm.identity(degree)
+def _closure(identity, gens, step):
+    """Everything step(x, g) reaches from the identity, in breadth-first
+    order, with the index of each element."""
     elements = [identity]
     index = {identity: 0}
-    frontier = [identity]
-    gens = list(gens)
-    while frontier:
-        x = frontier.pop(0)
+    for x in elements:  # the list grows while it is walked
         for g in gens:
-            y = g * x
+            y = step(x, g)
             if y not in index:
                 index[y] = len(elements)
                 elements.append(y)
-                frontier.append(y)
+    return elements, index
+
+
+def group_from_permutations(degree: int, gens) -> tuple:
+    """Closure of permutation generators: (FinGroup, element Perm list)."""
+    elements, index = _closure(Perm.identity(degree), list(gens), lambda x, g: g * x)
     cayley = [[index[a * b] for b in elements] for a in elements]
     return FinGroup(cayley, _checked=True), elements
 
@@ -208,19 +210,7 @@ def special_linear_2(p: int, generators=None):
         e, f, g, h = y
         return ((a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p)
 
-    identity = (1, 0, 0, 1)
-    elements = [identity]
-    index = {identity: 0}
-    frontier = [identity]
-    gens = [tuple(x % p for x in m) for m in generators]
-    while frontier:
-        x = frontier.pop(0)
-        for g in gens:
-            y = mat_mul(x, g)
-            if y not in index:
-                index[y] = len(elements)
-                elements.append(y)
-                frontier.append(y)
+    elements, index = _closure((1, 0, 0, 1), [tuple(x % p for x in m) for m in generators], mat_mul)
     cayley = [[index[mat_mul(x, y)] for y in elements] for x in elements]
     return FinGroup(cayley, _checked=True), elements
 
@@ -259,6 +249,12 @@ def check_coset_pair(group: FinGroup, subgroup, mu) -> tuple:
     return valid, strict
 
 
+def _coset_positions(group: FinGroup, subgroup):
+    """Left cosets of the subgroup, and the index of the coset of each element."""
+    cosets = group.left_cosets(subgroup)
+    return cosets, {x: i for i, coset in enumerate(cosets) for x in coset}
+
+
 def coset_rack(group: FinGroup, subgroup, mu) -> RackTable:
     """Rack on the left cosets of the subgroup: aH |> bH = (a mu a^(-1)) bH."""
     valid, _ = check_coset_pair(group, subgroup, mu)
@@ -266,11 +262,7 @@ def coset_rack(group: FinGroup, subgroup, mu) -> RackTable:
         raise ValueError(
             "invalid pair: some commutator [h, mu] leaves the normal core"
         )
-    cosets = group.left_cosets(subgroup)
-    position = {}
-    for i, coset in enumerate(cosets):
-        for x in coset:
-            position[x] = i
+    cosets, position = _coset_positions(group, subgroup)
     rows = []
     for coset in cosets:
         a = coset[0]
@@ -329,11 +321,7 @@ def transitive_crossed(group: FinGroup, subgroup, a) -> CrossedGSet:
         raise ValueError("not a subgroup")
     if any(group.mul(a, h) != group.mul(h, a) for h in subgroup):
         raise ValueError("the crossing element must centralize the subgroup")
-    cosets = group.left_cosets(subgroup)
-    position = {}
-    for i, coset in enumerate(cosets):
-        for x in coset:
-            position[x] = i
+    cosets, position = _coset_positions(group, subgroup)
     action = tuple(
         Perm(position[group.mul(g, coset[0])] for coset in cosets)
         for g in range(group.n)
@@ -471,51 +459,21 @@ def is_equivalence(f, w, x: CrossedGSet, y: CrossedGSet) -> bool:
 
 def parse_group(text: str) -> FinGroup:
     """Parse `group <n>` followed by n Cayley rows; identity must be index 0."""
-    lines = list(_significant_lines(text))
-    if not lines:
-        raise FormatError("empty input, expected `group <n>` header")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "group":
-        raise FormatError(f"expected `group <n>`, got {header!r}", lineno)
-    try:
-        n = int(parts[1])
-    except ValueError:
-        raise FormatError(f"bad order {parts[1]!r}", lineno) from None
-    if len(lines) - 1 != n:
-        raise FormatError(f"expected {n} rows, found {len(lines) - 1}", lineno)
-    rows = []
-    for lineno, line in lines[1:]:
-        try:
-            row = [int(tok) for tok in line.split()]
-        except ValueError:
-            raise FormatError(f"non-integer entry in {line!r}", lineno) from None
-        if len(row) != n:
-            raise FormatError(f"row has {len(row)} entries, expected {n}", lineno)
-        rows.append(row)
+    lineno, n, lines = _read_header(text, "group", "n", "order")
+    rows = _read_int_rows(lineno, lines, n)
     try:
         return FinGroup(rows)
     except ValueError as exc:
-        raise FormatError(str(exc), lines[0][0]) from None
+        raise FormatError(str(exc), lineno) from None
 
 
 def parse_sl2(text: str):
     """Parse `sl2 <p>` plus generator matrices, one `a b c d` per line."""
-    lines = list(_significant_lines(text))
-    if not lines:
-        raise FormatError("empty input, expected `sl2 <p>` header")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "sl2":
-        raise FormatError(f"expected `sl2 <p>`, got {header!r}", lineno)
-    try:
-        p = int(parts[1])
-    except ValueError:
-        raise FormatError(f"bad prime {parts[1]!r}", lineno) from None
+    header_lineno, p, lines = _read_header(text, "sl2", "p", "prime")
     if p < 2:
-        raise FormatError(f"modulus {p} is below 2", lineno)
+        raise FormatError(f"modulus {p} is below 2", header_lineno)
     matrices = []
-    for lineno, line in lines[1:]:
+    for lineno, line in lines:
         try:
             entries = tuple(int(tok) % p for tok in line.split())
         except ValueError:
@@ -526,7 +484,7 @@ def parse_sl2(text: str):
     try:
         return special_linear_2(p, matrices or None)
     except ValueError as exc:
-        raise FormatError(str(exc), lines[0][0]) from None
+        raise FormatError(str(exc), header_lineno) from None
 
 
 def format_group(group: FinGroup) -> str:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .burnside import BurnsideElement, BurnsideRing
 from .canonical import _extend, _table_constraints, automorphisms, canonical_key, key_order, key_table
-from .racks import FormatError, RackTable, _significant_lines
+from .racks import FormatError, RackTable, _read_header
 from .structure import is_connected
 
 
@@ -125,21 +125,11 @@ def colorings(p: PresentedQuandle, r: RackTable) -> int:
 
 def parse_presentation(text: str) -> PresentedQuandle:
     """Parse `qpres <k>` followed by `i rd j = m` / `i rdinv j = m` lines."""
-    lines = list(_significant_lines(text))
-    if not lines:
-        raise FormatError("empty input, expected `qpres <k>` header")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "qpres":
-        raise FormatError(f"expected `qpres <k>`, got {header!r}", lineno)
-    try:
-        k = int(parts[1])
-    except ValueError:
-        raise FormatError(f"bad generator count {parts[1]!r}", lineno) from None
+    lineno, k, lines = _read_header(text, "qpres", "k", "generator count")
     if k < 0:
         raise FormatError(f"negative generator count {k}", lineno)
     relations = []
-    for lineno, line in lines[1:]:
+    for lineno, line in lines:
         tokens = line.split()
         if len(tokens) != 5 or tokens[3] != "=" or tokens[1] not in ("rd", "rdinv"):
             raise FormatError(f"expected `i rd j = m` or `i rdinv j = m`, got {line!r}", lineno)

@@ -93,9 +93,7 @@ class Perm:
 
     def cycle_lengths(self):
         """All cycle lengths including fixed points, sorted descending."""
-        lengths = [len(c) for c in self.cycles()]
-        lengths.extend([1] * (self.degree - sum(lengths)))
-        return tuple(sorted(lengths, reverse=True))
+        return _cycle_lengths(self.images)
 
     def cycle_type(self):
         """Mapping {length -> number of cycles of that length}."""
@@ -115,6 +113,24 @@ class Perm:
 
     def __hash__(self):
         return hash(self.images)
+
+
+def _cycle_lengths(images):
+    """Cycle lengths of the permutation with these images, fixed points
+    included, sorted descending."""
+    seen = [False] * len(images)
+    lengths = []
+    for i in range(len(images)):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = images[j]
+            length += 1
+        lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
 
 
 def centralizer_order_in_sym(p: Perm) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .perms import Perm
+from .perms import Perm, _union_find
 
 
 class InvalidRackError(ValueError):
@@ -246,22 +246,10 @@ def associated_quandle(r: RackTable):
     orbit of x.  On quandles this is the identity quotient.
     """
     sigma = r.canonical_automorphism()
-    seen = {}
-    classes = []
-    for x in range(r.n):
-        if x in seen:
-            continue
-        orbit = [x]
-        y = sigma(x)
-        while y != x:
-            orbit.append(y)
-            y = sigma(y)
-        idx = len(classes)
-        classes.append(min(orbit))
-        for y in orbit:
-            seen[y] = idx
-    projection = tuple(seen[x] for x in range(r.n))
-    k = len(classes)
+    orbits = _union_find(range(r.n), ((x, sigma(x)) for x in range(r.n)))
+    index = {x: i for i, orbit in enumerate(orbits) for x in orbit}
+    projection = tuple(index[x] for x in range(r.n))
+    k = len(orbits)
     rows = [[None] * k for _ in range(k)]
     for a in range(r.n):
         for b in range(r.n):
@@ -283,25 +271,30 @@ def _significant_lines(text):
             yield lineno, line
 
 
-def parse_rack(text: str) -> RackTable:
-    """Parse the rack text format: header `rack <n>`, then n rows of n entries."""
+def _read_header(text, word, symbol, noun):
+    """Significant lines of a `<word> <int>` format, with the header parsed.
+
+    Returns (header line number, header integer, the lines after it).
+    """
     lines = list(_significant_lines(text))
     if not lines:
-        raise FormatError("empty input, expected `rack <n>` header")
+        raise FormatError(f"empty input, expected `{word} <{symbol}>` header")
     lineno, header = lines[0]
     parts = header.split()
-    if len(parts) != 2 or parts[0] != "rack":
-        raise FormatError(f"expected `rack <n>`, got {header!r}", lineno)
+    if len(parts) != 2 or parts[0] != word:
+        raise FormatError(f"expected `{word} <{symbol}>`, got {header!r}", lineno)
     try:
-        n = int(parts[1])
+        return lineno, int(parts[1]), lines[1:]
     except ValueError:
-        raise FormatError(f"bad order {parts[1]!r}", lineno) from None
-    if n < 0:
-        raise FormatError(f"negative order {n}", lineno)
-    if len(lines) - 1 != n:
-        raise FormatError(f"expected {n} rows, found {len(lines) - 1}", lineno)
+        raise FormatError(f"bad {noun} {parts[1]!r}", lineno) from None
+
+
+def _read_int_rows(header_lineno, lines, n):
+    """Exactly n rows of n integers, following the header on `header_lineno`."""
+    if len(lines) != n:
+        raise FormatError(f"expected {n} rows, found {len(lines)}", header_lineno)
     rows = []
-    for lineno, line in lines[1:]:
+    for lineno, line in lines:
         try:
             row = [int(tok) for tok in line.split()]
         except ValueError:
@@ -309,6 +302,15 @@ def parse_rack(text: str) -> RackTable:
         if len(row) != n:
             raise FormatError(f"row has {len(row)} entries, expected {n}", lineno)
         rows.append(row)
+    return rows
+
+
+def parse_rack(text: str) -> RackTable:
+    """Parse the rack text format: header `rack <n>`, then n rows of n entries."""
+    lineno, n, lines = _read_header(text, "rack", "n", "order")
+    if n < 0:
+        raise FormatError(f"negative order {n}", lineno)
+    rows = _read_int_rows(lineno, lines, n)
     report = validate_table(rows)
     if not report.ok:
         raise InvalidRackError(f"{report.error}: {report.detail}")

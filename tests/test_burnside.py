@@ -206,6 +206,11 @@ def test_parse_element_errors(ring):
         parse_element("1\n", ring.registry)
     with pytest.raises(ValueError):
         parse_element("x 00000001", ring.registry)
+    # a table that is not self-distributive, and an entry out of range
+    for key in ("00000003000100000002000000020001000200010000", "000000020005000100000001"):
+        with pytest.raises(ValueError, match="line 2: malformed key"):
+            parse_element(f"# comment\n1 {key}\n", ring.registry)
+    assert len(ring.registry) == 0
 
 
 def test_cancellation_small(ring, connected_racks_by_order, quandles_by_order):

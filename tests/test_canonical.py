@@ -56,6 +56,10 @@ def test_key_round_trip_serialization():
         key = canonical_key(r)
         assert key_order(key) == r.n
         assert canonical_key(key_table(key)) == key
+    key = canonical_key(dihedral(3))
+    for bad in (key[:3], key[:-1], bytes.fromhex("00000003000100000002000000020001000200010000")):
+        with pytest.raises(ValueError):
+            key_table(bad)
 
 
 def test_distinct_structures_have_distinct_keys():

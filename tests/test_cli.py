@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -162,6 +163,21 @@ def test_corrupt_registry_reports_line(capsys, tmp_path, workspace, dih3_file):
     code, _, err = run(capsys, "--workspace", workspace, "registry")
     assert code == 1
     assert "line 2" in err
+
+    good = Path(registry_file).read_text().splitlines()[0]
+    _, order, flags, key = good.split()
+    cases = {
+        "truncated key": f"{good}\n1 3 cq 0000000300\n",
+        "duplicate key": f"{good}\n1 {order} {flags} {key}\n",
+    }
+    for name, text in cases.items():
+        with open(registry_file, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for argv in (["registry"], ["burnside", dih3_file]):
+            code, out, err = run(capsys, "--workspace", workspace, *argv)
+            assert code == 1 and out == "", (name, argv)
+            assert err.startswith("error: line 2: ") and "Traceback" not in err, (name, err)
+            assert Path(registry_file).read_text() == text, name
 
 
 def test_mul_command(capsys, tmp_path, workspace, dih3_file):
@@ -357,3 +373,36 @@ def test_products_persist(capsys, tmp_path, workspace, dih3_file):
     # reloading and re-multiplying keeps the memo stable
     run(capsys, "--workspace", workspace, "mul", str(element_file), str(element_file))
     assert open(products_file).read() == first
+
+    # every product key must name a registry class
+    unknown = canonical_key(cycle_rack(2)).hex()
+    with open(products_file, "a", encoding="utf-8") as fh:
+        fh.write(f"{key} {unknown} = 1 {unknown}\n")
+    code, _, err = run(capsys, "--workspace", workspace, "registry")
+    assert code == 1
+    assert err.startswith(f"error: line {len(first.splitlines()) + 1}: ")
+
+
+def test_failed_save_keeps_workspace(capsys, monkeypatch, tmp_path, workspace, dih3_file):
+    run(capsys, "--workspace", workspace, "burnside", dih3_file)
+    registry_file = os.path.join(workspace, "registry.txt")
+    before = Path(registry_file).read_text()
+    _, listing, _ = run(capsys, "--workspace", workspace, "registry")
+    other = tmp_path / "c3.rack"
+    save_rack(cycle_rack(3), other)
+
+    def fail(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    code, _, err = run(capsys, "--workspace", workspace, "burnside", str(other))
+    monkeypatch.undo()
+    assert code == 1 and "replace failed" in err
+    assert Path(registry_file).read_text() == before
+    code, out, _ = run(capsys, "--workspace", workspace, "registry")
+    assert code == 0 and out == listing
+
+    code, _, _ = run(capsys, "--workspace", workspace, "burnside", str(other))
+    assert code == 0
+    names = [name for _, _, files in os.walk(workspace) for name in files]
+    assert sorted(names) == [".lock", "0.rack", "1.rack", "products.txt", "registry.txt"]
