@@ -16,7 +16,7 @@ from math import isqrt
 
 from . import enumeration
 from .canonical import canonical_form, canonical_key, key_table, table_bytes
-from .cycles import CycleVector
+from .cycles import CycleVector, SparseVector
 from .racks import RackTable, _significant_lines, cycle_rack, product, trivial
 from .structure import connected_parts, is_connected, profile
 
@@ -88,52 +88,8 @@ class ClassRegistry:
             raise ValueError("stored key does not match its representative")
 
 
-class BurnsideElement(dict):
+class BurnsideElement(SparseVector):
     """Sparse integer vector over class ids; missing ids read as 0."""
-
-    def __init__(self, data=()):
-        super().__init__()
-        items = data.items() if isinstance(data, dict) else data
-        for class_id, coeff in items:
-            self._bump(class_id, coeff)
-
-    def _bump(self, class_id, coeff):
-        new = self.get(class_id, 0) + coeff
-        if new == 0:
-            self.pop(class_id, None)
-        else:
-            dict.__setitem__(self, class_id, new)
-
-    def __missing__(self, key):
-        return 0
-
-    def __add__(self, other):
-        out = BurnsideElement(self)
-        for class_id, coeff in other.items():
-            out._bump(class_id, coeff)
-        return out
-
-    def __sub__(self, other):
-        out = BurnsideElement(self)
-        for class_id, coeff in other.items():
-            out._bump(class_id, -coeff)
-        return out
-
-    def __neg__(self):
-        return BurnsideElement((i, -c) for i, c in self.items())
-
-    def __mul__(self, other):
-        if not isinstance(other, int):
-            return NotImplemented
-        if other == 0:
-            return BurnsideElement()
-        return BurnsideElement((i, other * c) for i, c in self.items())
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __repr__(self):
-        return f"BurnsideElement({dict(sorted(self.items()))!r})"
 
 
 class BurnsideRing:
@@ -256,8 +212,9 @@ class BurnsideRing:
             raise ValueError("primality is only defined for order >= 2")
         return self._find_split(q, bound=bound) is None
 
-    def _find_split(self, q: RackTable, *, bound=None):
-        """Smallest factorization (A_id, B_id) of q, or None if prime."""
+    def splits(self, q: RackTable, *, bound=None):
+        """Yield every pair (A_id, B_id) of connected quandle classes with
+        A x B isomorphic to q and 2 <= |A| <= |B|, smallest |A| first."""
         n = q.n
         target = canonical_key(q)
         for d in range(2, isqrt(n) + 1):
@@ -268,8 +225,11 @@ class BurnsideRing:
                 for b_id in self.connected_quandle_classes(n // d, bound=bound):
                     right = self.registry.entry(b_id).table
                     if canonical_key(product(left, right)) == target:
-                        return a_id, b_id
-        return None
+                        yield a_id, b_id
+
+    def _find_split(self, q: RackTable, *, bound=None):
+        """Smallest factorization (A_id, B_id) of q, or None if prime."""
+        return next(self.splits(q, bound=bound), None)
 
     def factor_quandle(self, q: RackTable, *, bound=None) -> list:
         """Multiset of prime-class ids whose product is isomorphic to q."""
@@ -307,7 +267,13 @@ def format_element(x: BurnsideElement, registry: ClassRegistry) -> str:
 
 def parse_element(text: str, registry: ClassRegistry) -> BurnsideElement:
     """Parse the file form; keys are self-describing and register themselves."""
-    out = BurnsideElement()
+    return register_terms(decode_element(text), registry)
+
+
+def decode_element(text: str) -> list:
+    """The `(coefficient, table)` terms of the file form, in line order;
+    touches no registry, so bad input fails before any workspace is used."""
+    terms = []
     for lineno, line in _significant_lines(text):
         parts = line.split()
         if len(parts) != 2:
@@ -321,5 +287,12 @@ def parse_element(text: str, registry: ClassRegistry) -> BurnsideElement:
             table = key_table(key)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: malformed key: {exc}") from None
-        out._bump(registry.register(table), coeff)
-    return out
+        if not is_connected(table):
+            raise ValueError(f"line {lineno}: key is not a connected rack")
+        terms.append((coeff, table))
+    return terms
+
+
+def register_terms(terms, registry: ClassRegistry) -> BurnsideElement:
+    """The element sum of coefficient * class over decoded terms."""
+    return BurnsideElement((registry.register(table), coeff) for coeff, table in terms)

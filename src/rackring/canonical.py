@@ -7,9 +7,10 @@ iterated neighborhood signatures) prune the search equivariantly, so equal
 keys characterize isomorphic tables and the canonical representative of a
 canonical representative is itself.
 
-The module also owns the one propagate-and-backtrack morphism kernel,
-`_extend`.  Automorphisms, orbit tests, morphism censuses and coloring
-counts of presented quandles all run on it.
+The search is also the one source of automorphisms: the ones it prunes by
+generate the automorphism group.  The module further owns the one
+propagate-and-backtrack morphism kernel, `_extend`, under morphism
+censuses and coloring counts of presented quandles.
 """
 
 from __future__ import annotations
@@ -68,63 +69,85 @@ def _is_transposition_automorphism(table, u, v):
 
 
 def _canonical_search(table):
-    """Return (best flat table, labeling p) with relabel(table, p) minimal."""
+    """Return (best flat table, labeling p, automorphisms) with relabel(table, p)
+    minimal; the automorphisms are image tuples that generate the whole group.
+
+    A child is skipped when it lies in the orbit of a tried sibling under the
+    automorphisms found so far that fix the prefix pointwise.  That keeps the
+    least leaf and its labeling, and a search that prunes only by automorphisms
+    it found has found generators of the whole group (McKay & Piperno,
+    Practical Graph Isomorphism II, 2014).
+    """
     n = len(table)
-    best_flat = [None]
-    best_label = [None]
-    auts = []  # discovered automorphisms, as image lists
+    best_flat = best_label = best_verts = None
+    auts = []  # discovered automorphisms, as image tuples, in order of discovery
+    known = set()
+
+    def found(g):
+        if g not in known:
+            known.add(g)
+            auts.append(g)
 
     def leaf(colors):
+        nonlocal best_flat, best_label, best_verts
         label = [0] * n
         verts = sorted(range(n), key=lambda v: colors[v])
         for rank, v in enumerate(verts):
             label[v] = rank
         flat = tuple(label[table[a][b]] for a in verts for b in verts)
-        if best_flat[0] is None or flat < best_flat[0]:
-            best_flat[0] = flat
-            best_label[0] = label
-        elif flat == best_flat[0]:
-            inv_best = [0] * n
-            for v, rank in enumerate(best_label[0]):
-                inv_best[rank] = v
-            auts.append([inv_best[label[v]] for v in range(n)])
+        if best_flat is None or flat < best_flat:
+            best_flat, best_label, best_verts = flat, label, verts
+        elif flat == best_flat:
+            found(tuple(best_verts[label[v]] for v in range(n)))
 
-    def rec(colors, fixed):
+    def rec(colors, fixed, gens):
+        # gens: every automorphism found so far that fixes `fixed` pointwise
         colors = _refine(table, colors)
         classes = {}
         for v in range(n):
             classes.setdefault(colors[v], []).append(v)
-        target = None
-        for color in sorted(classes):
-            if len(classes[color]) > 1:
-                target = classes[color]
-                break
+        target = next((classes[c] for c in sorted(classes) if len(classes[c]) > 1), None)
         if target is None:
             leaf(colors)
             return
+        seen, u = len(auts), target[0]
         for v in target[1:]:
-            if _is_transposition_automorphism(table, target[0], v):
-                swap = list(range(n))
-                swap[target[0]], swap[v] = v, target[0]
-                if swap not in auts:
-                    auts.append(swap)
-        tried = []
+            if _is_transposition_automorphism(table, u, v):
+                found(tuple(v if x == u else u if x == v else x for x in range(n)))
+        gens.extend(auts[seen:])  # new transpositions move only target points
+        seen = len(auts)
+        tried, reached = [], set()
+
+        def close(points):
+            stack = [x for x in points if x not in reached]
+            reached.update(stack)
+            while stack:
+                x = stack.pop()
+                for g in gens:
+                    if g[x] not in reached:
+                        reached.add(g[x])
+                        stack.append(g[x])
+
         for v in target:
-            if any(
-                all(g[u] == u for u in fixed) and g[v] == w
-                for g in auts
-                for w in tried
-            ):
+            if v in reached:
                 continue
-            tried.append(v)
             new_colors = [2 * c for c in colors]
             new_colors[v] -= 1
-            rec(new_colors, fixed + [v])
+            rec(new_colors, fixed + [v], [g for g in gens if g[v] == v])
+            tried.append(v)
+            new = [g for g in auts[seen:] if all(g[x] == x for x in fixed)]
+            seen = len(auts)
+            if new:
+                gens.extend(new)
+                reached.clear()
+                close(tried)
+            else:
+                close([v])
 
     if n == 0:
-        return (), []
-    rec(_initial_colors(table), [])
-    return best_flat[0], best_label[0]
+        return (), [], []
+    rec(_initial_colors(table), [], [])
+    return best_flat, best_label, auts
 
 
 def canonical_form(r: RackTable):
@@ -132,7 +155,7 @@ def canonical_form(r: RackTable):
     n = r.n
     if n == 0:
         return r, Perm.identity(0)
-    flat, label = _canonical_search(r.table)
+    flat, label, _ = _canonical_search(r.table)
     rows = [flat[a * n : (a + 1) * n] for a in range(n)]
     return RackTable._wrap(rows), Perm(label)
 
@@ -197,20 +220,16 @@ def _table_constraints(table):
     ]
 
 
-def _extend(constraints, target, *, colors=None, first=False, seed=None):
+def _extend(constraints, target):
     """Every map f from the source points into a target rack table with
     f(m) = f(i) |> f(j) for each constraint (i, j, m), as sorted image tuples.
 
     The source has one point per entry of `constraints`, and entry x lists
     the constraints with x as i or j.  Branching takes the first unassigned
-    point; assigning it propagates every image the constraints force.  A
-    coloring keeps each point on targets of its own color and makes f
-    injective.  `first` stops after one completion, and `seed` fixes one
-    (source, target) pair before the search.
+    point; assigning it propagates every image the constraints force.
     """
     n = len(constraints)
     image = [None] * n
-    used = [False] * len(target)
     out = []
 
     def assign(v, w):
@@ -224,11 +243,7 @@ def _extend(constraints, target, *, colors=None, first=False, seed=None):
                     rollback(trail)
                     return None
                 continue
-            if colors is not None and (used[y] or colors[x] != colors[y]):
-                rollback(trail)
-                return None
             image[x] = y
-            used[y] = True
             trail.append(x)
             for i, j, m in constraints[x]:
                 fi, fj = image[i], image[j]
@@ -238,53 +253,35 @@ def _extend(constraints, target, *, colors=None, first=False, seed=None):
 
     def rollback(trail):
         for x in trail:
-            used[image[x]] = False
             image[x] = None
 
     def rec():
         v = next((x for x in range(n) if image[x] is None), None)
         if v is None:
             out.append(tuple(image))
-            return first
+            return
         for w in range(len(target)):
-            if colors is not None and (used[w] or colors[w] != colors[v]):
-                continue
             trail = assign(v, w)
-            if trail is None:
-                continue
-            stop = rec()
-            rollback(trail)
-            if stop:
-                return True
-        return False
+            if trail is not None:
+                rec()
+                rollback(trail)
 
-    if seed is None or assign(*seed) is not None:
-        rec()
+    rec()
     out.sort()
     return out
 
 
-def automorphisms(r: RackTable) -> list:
-    """All structure-preserving permutations, sorted by image tuple."""
-    table = r.table
-    colors = _refine(table, _initial_colors(table))
-    return [Perm(f) for f in _extend(_table_constraints(table), table, colors=colors)]
-
-
 def automorphism_group(r: RackTable) -> PermGroup:
-    """Automorphisms as a permutation group; requires a nonempty rack."""
+    """Automorphisms as a permutation group, generated by those the
+    canonical search finds; requires a nonempty rack."""
     if r.n == 0:
         raise ValueError("the empty rack has no automorphism group action")
-    return group_closure_from(r.n, automorphisms(r))
+    _, _, auts = _canonical_search(r.table)
+    return group_closure_from(r.n, map(Perm, auts))
 
 
-def has_automorphism_mapping(r: RackTable, source: int, target: int) -> bool:
-    """Existence of an automorphism with the given image of one point.
-
-    Stops at the first completion, so orbit questions stay cheap on racks
-    whose full automorphism group would be enormous.
-    """
-    table = r.table
-    colors = _refine(table, _initial_colors(table))
-    found = _extend(_table_constraints(table), table, colors=colors, first=True, seed=(source, target))
-    return bool(found)
+def automorphisms(r: RackTable) -> list:
+    """All structure-preserving permutations, sorted by image tuple."""
+    if r.n == 0:
+        return [Perm(())]
+    return sorted(automorphism_group(r).elements(), key=lambda p: p.images)

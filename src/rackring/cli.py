@@ -15,7 +15,9 @@ import os
 import sys
 from contextlib import contextmanager
 
-from .burnside import BurnsideElement, BurnsideRing, ClassRegistry, format_element, parse_element, render_element
+from .burnside import (
+    BurnsideElement, BurnsideRing, ClassRegistry, decode_element, format_element, register_terms, render_element,
+)
 from .canonical import canonical_form, canonical_key, find_isomorphism, table_bytes
 from .enumeration import EnumerationFilter, enumerate_racks
 from .groups import (
@@ -59,7 +61,7 @@ class Workspace:
     def lock(self, shared=False):
         os.makedirs(self.path, exist_ok=True)
         lock_path = os.path.join(self.path, ".lock")
-        fd = os.open(lock_path, os.O_CREAT | os.O_RDWR)
+        fd = os.open(lock_path, os.O_CREAT | os.O_RDWR, 0o644)
         try:
             fcntl.flock(fd, fcntl.LOCK_SH if shared else fcntl.LOCK_EX)
             yield
@@ -252,11 +254,12 @@ def cmd_burnside(args):
 
 
 def cmd_mul(args):
+    # decoded before the lock, so bad input leaves no workspace behind
+    terms = [decode_element(_read_text(path)) for path in (args.file_x, args.file_y)]
     workspace = Workspace(args.workspace)
     with workspace.lock():
         ring = workspace.load_ring()
-        x = parse_element(_read_text(args.file_x), ring.registry)
-        y = parse_element(_read_text(args.file_y), ring.registry)
+        x, y = (register_terms(t, ring.registry) for t in terms)
         result = ring.mul(x, y)
         workspace.save_ring(ring)
     if args.output:
@@ -370,8 +373,10 @@ def cmd_crossed(args):
 
 def cmd_registry(args):
     workspace = Workspace(args.workspace)
-    with workspace.lock(shared=True):
-        ring = workspace.load_ring()
+    ring = BurnsideRing()  # listing a missing workspace creates nothing
+    if os.path.exists(workspace.path):
+        with workspace.lock(shared=True):
+            ring = workspace.load_ring()
     entries = ring.registry.entries()
     report = {
         "entries": [

@@ -3,7 +3,8 @@
 These model formal integer combinations of the symbols c_n, one for each
 cycle length n >= 1, with the bilinear product determined by
 c_r * c_s = gcd(r, s) * c_lcm(r, s).  The vector with a single entry
-{1: 1} is the multiplicative unit.
+{1: 1} is the multiplicative unit.  Their base, `SparseVector`, holds the
+additive arithmetic that the Burnside ring's elements share.
 """
 
 from __future__ import annotations
@@ -11,29 +12,60 @@ from __future__ import annotations
 from math import gcd
 
 
-class CycleVector(dict):
-    """Finitely supported mapping {cycle length -> integer coefficient}.
-
-    Zero coefficients are never stored; missing keys read as 0.
-    """
+class SparseVector(dict):
+    """Finitely supported mapping {index -> integer coefficient} with addition,
+    negation and integer scaling; zeros are never stored, missing keys read 0."""
 
     def __init__(self, data=()):
         super().__init__()
         items = data.items() if isinstance(data, dict) else data
-        for length, coeff in items:
-            self._bump(length, coeff)
+        for index, coeff in items:
+            self._bump(index, coeff)
+
+    def _bump(self, index, coeff):
+        new = self.get(index, 0) + coeff
+        if new == 0:
+            self.pop(index, None)
+        else:
+            dict.__setitem__(self, index, new)
+
+    def __missing__(self, key):
+        return 0
+
+    def __add__(self, other):
+        out = type(self)(self)
+        for index, coeff in other.items():
+            out._bump(index, coeff)
+        return out
+
+    def __sub__(self, other):
+        out = type(self)(self)
+        for index, coeff in other.items():
+            out._bump(index, -coeff)
+        return out
+
+    def __neg__(self):
+        return type(self)((index, -coeff) for index, coeff in self.items())
+
+    def __mul__(self, other):
+        if not isinstance(other, int):
+            return NotImplemented
+        return type(self)((index, other * coeff) for index, coeff in self.items())
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({dict(sorted(self.items()))!r})"
+
+
+class CycleVector(SparseVector):
+    """Sparse vector {cycle length -> integer coefficient}."""
 
     def _bump(self, length, coeff):
         if not isinstance(length, int) or length < 1:
             raise ValueError(f"cycle length must be a positive integer, got {length!r}")
-        new = self.get(length, 0) + coeff
-        if new == 0:
-            self.pop(length, None)
-        else:
-            dict.__setitem__(self, length, new)
-
-    def __missing__(self, key):
-        return 0
+        super()._bump(length, coeff)
 
     @classmethod
     def one(cls):
@@ -42,40 +74,17 @@ class CycleVector(dict):
     @classmethod
     def of_lengths(cls, lengths):
         """Vector counting the given multiset of cycle lengths."""
-        v = cls()
-        for length in lengths:
-            v._bump(length, 1)
-        return v
-
-    def __add__(self, other):
-        out = CycleVector(self)
-        for length, coeff in other.items():
-            out._bump(length, coeff)
-        return out
-
-    def __sub__(self, other):
-        out = CycleVector(self)
-        for length, coeff in other.items():
-            out._bump(length, -coeff)
-        return out
-
-    def __neg__(self):
-        return CycleVector((length, -coeff) for length, coeff in self.items())
+        return cls((length, 1) for length in lengths)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return CycleVector()
-            return CycleVector((length, other * coeff) for length, coeff in self.items())
+            return super().__mul__(other)
         out = CycleVector()
         for r, a in self.items():
             for s, b in other.items():
                 g = gcd(r, s)
                 out._bump(r * s // g, a * b * g)
         return out
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
 
     def __pow__(self, k):
         if k < 0:
@@ -97,6 +106,3 @@ class CycleVector(dict):
             coeff = self[length]
             parts.append(f"{coeff}*c{length}" if coeff != 1 else f"c{length}")
         return " + ".join(parts)
-
-    def __repr__(self):
-        return f"CycleVector({dict(sorted(self.items()))!r})"

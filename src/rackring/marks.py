@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .burnside import BurnsideElement, BurnsideRing
-from .canonical import _extend, _table_constraints, automorphisms, canonical_key, key_order, key_table
+from .canonical import _extend, _table_constraints, automorphism_group, canonical_key, key_order, key_table
 from .racks import FormatError, RackTable, _read_header
 from .structure import is_connected
 
@@ -79,7 +79,7 @@ def verify_triangular_recursion(c: RackTable, r: RackTable) -> bool:
         return False
     for key, cnt in smaller.items():
         d = key_table(bytes.fromhex(key))
-        aut_d = len(automorphisms(d))
+        aut_d = automorphism_group(d).order()
         inj_d_r = census(d, r).inj
         sur_c_d = census(c, d).sur
         if cnt * aut_d != inj_d_r * sur_c_d:

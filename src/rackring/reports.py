@@ -76,42 +76,25 @@ def decomposition_cancellation_search(max_order: int = 6) -> SurveyResult:
 
 def prime_factorization_ambiguity_scan(max_order: int = 8, *, ring=None) -> SurveyResult:
     """Look for connected quandles admitting two distinct prime factorizations."""
-    from math import isqrt
-
-    from .racks import product
-
     ring = ring if ring is not None else BurnsideRing()
     result = SurveyResult("uniqueness of prime quandle factorizations")
     memo = {}
 
-    def all_factorizations(q):
-        key = canonical_key(q)
-        if key in memo:
-            return memo[key]
-        n = q.n
-        if n == 1:
-            return {()}
-        out = set()
-        for d in range(2, isqrt(n) + 1):
-            if n % d:
-                continue
-            for a_id in ring.connected_quandle_classes(d):
-                left = ring.registry.entry(a_id).table
-                for b_id in ring.connected_quandle_classes(n // d):
-                    right = ring.registry.entry(b_id).table
-                    if canonical_key(product(left, right)) == key:
-                        for fl in all_factorizations(left):
-                            for fr in all_factorizations(right):
-                                out.add(tuple(sorted(fl + fr)))
-        if not out:
-            out.add((ring.registry.register(q),))
-        memo[key] = out
-        return out
+    def all_factorizations(class_id):
+        if class_id not in memo:
+            q = ring.registry.entry(class_id).table
+            out = {
+                tuple(sorted(fl + fr))
+                for a_id, b_id in ring.splits(q)
+                for fl in all_factorizations(a_id)
+                for fr in all_factorizations(b_id)
+            }
+            memo[class_id] = out or ({()} if q.n == 1 else {(class_id,)})
+        return memo[class_id]
 
     for order in range(1, max_order + 1):
         for class_id in ring.connected_quandle_classes(order):
-            table = ring.registry.entry(class_id).table
-            factorizations = all_factorizations(table)
+            factorizations = all_factorizations(class_id)
             result.checked += 1
             if len(factorizations) > 1:
                 result.findings.append((ring.registry.entry(class_id).key.hex(), sorted(factorizations)))

@@ -39,14 +39,15 @@ def is_connected(r: RackTable) -> bool:
 
 
 def is_homogeneous(r: RackTable) -> bool:
-    """Single orbit of the full automorphism group; False for the empty rack."""
+    """Single orbit of the full automorphism group; False for the empty rack.
+    The canonical search's automorphisms generate the group: no stabilizer chain."""
     if r.n == 0:
         return False
-    from . import canonical
+    from .canonical import _canonical_search
 
-    return all(
-        canonical.has_automorphism_mapping(r, 0, v) for v in range(1, r.n)
-    )
+    _, _, auts = _canonical_search(r.table)
+    points = range(r.n)
+    return len(_union_find(points, ((x, g[x]) for g in auts for x in points))) == 1
 
 
 def irreducible_components(r: RackTable) -> tuple:

@@ -1,8 +1,11 @@
+import hashlib
+import random
 from itertools import permutations
 
 import pytest
 
 from rackring import (
+    EnumerationFilter,
     Perm,
     RackTable,
     are_isomorphic,
@@ -15,9 +18,11 @@ from rackring import (
     cycle_rack,
     dihedral,
     disjoint_union,
+    enumerate_morphisms,
+    enumerate_racks,
     find_isomorphism,
-    has_automorphism_mapping,
     inner_group,
+    is_homogeneous,
     key_order,
     key_table,
     permutation_rack,
@@ -25,6 +30,7 @@ from rackring import (
     symmetric_group,
     trivial,
 )
+from rackring.groups import conjugation_quandle
 
 
 def test_key_invariant_under_all_relabelings(racks_by_order):
@@ -143,9 +149,24 @@ def test_orbit_tests_match_brute_force(racks_by_order):
     for n in range(1, 5):
         for r in racks_by_order[n]:
             auts = brute_automorphisms(r)
+            orbit_of = {x: orbit for orbit in automorphism_group(r).orbits() for x in orbit}
             for s in range(n):
                 for t in range(n):
-                    assert has_automorphism_mapping(r, s, t) == any(p[s] == t for p in auts)
+                    assert (t in orbit_of[s]) == any(p[s] == t for p in auts)
+            assert is_homogeneous(r) == all(any(p[0] == t for p in auts) for t in range(n))
+
+
+def test_automorphism_group_order_counts_bijective_endomorphisms(racks_by_order):
+    d3_squared = product(dihedral(3), dihedral(3))
+    for r in [r for n in range(1, 6) for r in racks_by_order[n]] + [d3_squared]:
+        bijective = sum(1 for f in enumerate_morphisms(r, r) if len(set(f)) == r.n)
+        assert automorphism_group(r).order() == bijective
+    assert automorphism_group(d3_squared).order() == 432
+
+
+def test_dihedral_automorphism_group_orders():
+    for p in (5, 7, 11, 13):
+        assert automorphism_group(dihedral(p)).order() == p * (p - 1)
 
 
 def test_inner_group_inside_automorphism_group(racks_by_order):
@@ -171,6 +192,30 @@ def test_distinct_keys_mean_nonisomorphic_at_order_five(racks_by_order):
     for i, a in enumerate(reps):
         for b in reps[i + 1 :]:
             assert not any(a.relabel(p) == b for p in perms)
+
+
+def test_keys_of_racks_to_order_six_and_quandles_of_order_seven_are_pinned():
+    # digest of the sorted keys as the canonical search gave them before it
+    # pruned by automorphism orbits; every table is keyed in reversed labels
+    tables = [t for n in range(7) for t in enumerate_racks(EnumerationFilter(n))]
+    tables += enumerate_racks(EnumerationFilter(7, quandle_only=True))
+    keys = {canonical_key(t.relabel(Perm(range(t.n - 1, -1, -1)))) for t in tables}
+    assert len(keys) == 754
+    digest = hashlib.sha256(b"".join(sorted(keys))).hexdigest()
+    assert digest == "2c3c8910fb5ab0e007a4e1717fb23499679f80a42d10eb1cad5cdd1a9eca08cb"
+
+
+def test_large_racks_key_like_a_relabeling():
+    d3 = dihedral(3)
+    for r in (
+        product(product(d3, d3), d3),
+        conjugation_quandle(symmetric_group(5)),
+        trivial(40),
+        dihedral(61),
+    ):
+        images = list(range(r.n))
+        random.Random(r.n).shuffle(images)
+        assert canonical_key(r.relabel(Perm(images))) == canonical_key(r)
 
 
 def test_large_symmetric_product_key_stability():

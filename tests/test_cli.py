@@ -16,10 +16,12 @@ from rackring import (
     save_rack,
     symmetric_group,
     trefoil_presentation,
+    trivial,
     Perm,
 )
 from rackring.burnside import ClassRegistry
 from rackring.cli import main
+from rackring.groups import MAX_CROSSED_GROUP_ORDER
 
 
 def run(capsys, *argv):
@@ -303,6 +305,34 @@ def test_crossed_command(capsys, dih3_file):
     assert lines[0] == "automorphism group order: 6"
     assert lines[1] == "round trip table identical: true"
     assert lines[2] == "round trip equivalent: true"
+
+
+def test_crossed_command_bounds_group_order(capsys, tmp_path):
+    path = tmp_path / "trivial12.rack"
+    save_rack(trivial(12), path)
+    code, out, err = run(capsys, "crossed", str(path))
+    assert code == 1 and out == ""
+    assert "479001600" in err and str(MAX_CROSSED_GROUP_ORDER) in err
+
+
+def test_failed_commands_leave_no_workspace(capsys, tmp_path, workspace, dih3_file):
+    from rackring import canonical_key
+
+    bad = tmp_path / "bad.elem"
+    disconnected = canonical_key(trivial(2)).hex()
+    for text, line in (("1 zz\n", 1), (f"# two points\n1 {disconnected}\n", 2)):
+        bad.write_text(text)
+        code, out, err = run(capsys, "--workspace", workspace, "mul", str(bad), str(bad))
+        assert code == 1 and out == "" and err.startswith(f"error: line {line}: "), err
+        assert not os.path.exists(workspace)
+
+    code, out, _ = run(capsys, "--workspace", workspace, "registry")
+    assert code == 0 and out.strip() == "(empty registry)"
+    assert not os.path.exists(workspace)
+
+    code, _, _ = run(capsys, "--workspace", workspace, "burnside", dih3_file)
+    assert code == 0
+    assert os.stat(os.path.join(workspace, ".lock")).st_mode & 0o7777 & ~0o644 == 0
 
 
 def test_workspace_env_variable(capsys, tmp_path, dih3_file, monkeypatch):

@@ -1,3 +1,5 @@
+import pytest
+
 from rackring import CycleVector, Perm
 
 
@@ -43,3 +45,23 @@ def test_zero_coefficients_dropped():
     v = CycleVector({3: 2}) + CycleVector({3: -2})
     assert 3 not in v
     assert v == CycleVector()
+
+
+def test_sparse_vector_arithmetic_keeps_types_and_reprs():
+    from rackring import BurnsideElement
+
+    v = CycleVector({5: -1, 2: 3})
+    x = BurnsideElement({4: 2, 1: -1})
+    assert repr(v) == "CycleVector({2: 3, 5: -1})"
+    assert repr(x) == "BurnsideElement({1: -1, 4: 2})"
+    for result, kind in ((v + v, CycleVector), (-v, CycleVector), (3 * v, CycleVector), (v - v, CycleVector),
+                         (x + x, BurnsideElement), (-x, BurnsideElement), (x * 2, BurnsideElement),
+                         (x - x, BurnsideElement)):
+        assert type(result) is kind
+    assert x * 0 == BurnsideElement() and x[7] == 0 and v[7] == 0
+    assert x.__mul__(x) is NotImplemented
+    with pytest.raises(TypeError):
+        x * x
+    with pytest.raises(ValueError):
+        CycleVector({0: 1})
+    assert BurnsideElement({0: 1}) == {0: 1}

@@ -32,6 +32,7 @@ from rackring import (
     trivial,
 )
 from rackring import inner_group
+from rackring.groups import MAX_CROSSED_GROUP_ORDER
 from rackring.racks import FormatError
 
 
@@ -212,6 +213,14 @@ def test_rack_to_crossed_details():
     assert y.group.n == 6
     with pytest.raises(ValueError):
         rack_to_crossed(RackTable([]))
+
+
+def test_rack_to_crossed_bounds_group_order():
+    # trivial(6), with the 720 automorphisms of S_6, stays inside the bound
+    assert 720 <= MAX_CROSSED_GROUP_ORDER < 5040
+    assert rack_to_crossed(product(dihedral(3), dihedral(3))).group.n == 432
+    with pytest.raises(ValueError, match=f"order 5040 exceeds .* bound {MAX_CROSSED_GROUP_ORDER}"):
+        rack_to_crossed(trivial(7))
 
 
 def test_reverse_round_trip_equivalence(racks_by_order):
