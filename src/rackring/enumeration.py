@@ -2,12 +2,18 @@
 
 Generation branches over whole rows (left multiplications), propagating the
 closure constraint: once rows a and b are fixed, the row at position a |> b
-must be the conjugate row_a . row_b . row_a^(-1).  Symmetry is cut by
-forcing row 0 into a canonical layout for its cycle type and requiring its
-type to be maximal among all rows; every isomorphism class keeps at least
-one representative, and survivors are deduplicated by canonical key.  A
-naive generate-filter-dedup oracle over all row assignments, with pairwise
-relabeling tests, cross-checks the generator at small orders.
+must be the conjugate row_a . row_b . row_a^(-1).  Symmetry is cut three
+ways.  Row 0 is forced into a canonical layout for its cycle type, which
+must be maximal among all rows.  At each free branch, a candidate row is
+tried only if it is the least of its conjugates under the permutations that
+fix every assigned index and the branch index and commute with every
+assigned row (orbit pruning in the sense of McKay, Isomorph-free exhaustive
+generation, 1998).  Connected searches admit only rows of the root's cycle
+type.  Every isomorphism class keeps at least one representative; the
+survivors, about four tables per class for the quandles of order 8, are
+deduplicated by canonical key.  A naive generate-filter-dedup oracle over
+all row assignments, with pairwise relabeling tests, cross-checks the
+generator at small orders.
 """
 
 from __future__ import annotations
@@ -85,10 +91,6 @@ def _root_rows(n, quandle_only):
     return roots
 
 
-def _compose(p, q):
-    return tuple(p[v] for v in q)
-
-
 def _invert(p):
     inv = [0] * len(p)
     for i, v in enumerate(p):
@@ -96,28 +98,96 @@ def _invert(p):
     return tuple(inv)
 
 
+def _cycles(p):
+    seen = [False] * len(p)
+    out = []
+    for start in range(len(p)):
+        cycle = []
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            cycle.append(x)
+            x = p[x]
+        if cycle:
+            out.append(cycle)
+    return out
+
+
+def _centralizer_fixing(row, point):
+    """The permutations other than the identity that commute with `row` and
+    fix `point`, each paired with its inverse.
+
+    Such a permutation fixes the cycle of `point` pointwise and sends the
+    other cycles of `row` to cycles of the same length, each with a rotation.
+    """
+    by_length = {}
+    for cycle in _cycles(row):
+        if point not in cycle:
+            by_length.setdefault(len(cycle), []).append(cycle)
+    choices = []
+    for length, cycles in by_length.items():
+        maps = []
+        for targets in permutations(cycles):
+            for shifts in product(range(length), repeat=len(cycles)):
+                maps.append([
+                    (src[t], dst[(t + s) % length])
+                    for src, dst, s in zip(cycles, targets, shifts)
+                    for t in range(length)
+                ])
+        choices.append(maps)
+    identity = tuple(range(len(row)))
+    group = []
+    for parts in product(*choices):
+        c = list(identity)
+        for part in parts:
+            for x, y in part:
+                c[x] = y
+        c = tuple(c)
+        if c != identity:
+            group.append((c, _invert(c)))
+    return group
+
+
 class _RowSearch:
-    def __init__(self, n, quandle_only, emit, rng=None):
-        self.n = n
-        self.quandle_only = quandle_only
+    """Row-by-row search for every rack table matching a filter, up to
+    isomorphism: `emit` receives at least one table of each class.
+
+    `_branch` carries `group`, the permutations other than the identity that
+    fix every assigned index and commute with every assigned row, each with
+    its inverse.  Relabelling a completion by such a c keeps the assigned
+    rows and turns the row q at a free index that c fixes into c.q.c^-1, so
+    only the least of those conjugates is tried.  A connected rack has all
+    rows conjugate (row_{g(a)} = g.row_a.g^-1 for inner g), so connected
+    searches admit only the root's cycle type.
+    """
+
+    def __init__(self, filt, emit, rng=None):
+        n = self.n = filt.order
+        self.quandle_only = filt.quandle_only
+        self.connected_only = filt.connected_only
         self.emit = emit
         self.rng = rng
+        self.identity = tuple(range(n))
         perms = list(permutations(range(n)))
-        self.type_of = {p: _cycle_lengths(p) for p in perms}
-        all_types = sorted(set(self.type_of.values()), reverse=True)
-        self.all_types = all_types
+        # rank k is the k-th largest cycle type
+        types = sorted({_cycle_lengths(p) for p in perms}, reverse=True)
+        rank = {t: k for k, t in enumerate(types)}
+        self.rank_of = {p: rank[_cycle_lengths(p)] for p in perms}
+        self.type_count = len(types)
         self.cands = []
         for i in range(n):
-            by_type = {t: [] for t in all_types}
+            by_rank = [[] for _ in types]
             for p in perms:
-                if quandle_only and p[i] != i:
+                if self.quandle_only and p[i] != i:
                     continue
-                by_type[self.type_of[p]].append(p)
-            self.cands.append(by_type)
+                by_rank[self.rank_of[p]].append(p)
+            self.cands.append(by_rank)
         self.rows = [None] * n
         self.invs = [None] * n
+        self.rank_at = [None] * n
         self.assigned = []
-        self.root_type = None
+        self.ranks = None
+        self.admitted = None
 
     def run(self):
         if self.n == 0:
@@ -127,35 +197,62 @@ class _RowSearch:
         if self.rng is not None:
             self.rng.shuffle(roots)
         for root in roots:
-            self.root_type = _cycle_lengths(root)
+            root_rank = self.rank_of[root]
+            if self.connected_only:
+                self.ranks = [root_rank]
+            else:
+                self.ranks = list(range(root_rank, self.type_count))
+            self.admitted = [k in self.ranks for k in range(self.type_count)]
             trail = self._try_assign(0, root)
             if trail is not None:
-                self._branch()
+                self._branch(_centralizer_fixing(root, 0))
                 self._rollback(trail)
 
     def _try_assign(self, index, row):
-        """Assign a row and propagate conjugation constraints; None on conflict."""
-        rows, invs, type_of = self.rows, self.invs, self.type_of
+        """Assign a row and propagate conjugation constraints; None on conflict.
+
+        A propagated row is a conjugate of an admitted row, so it has an
+        admitted cycle type and, in a quandle, fixes its own index; only
+        `row` itself is checked for both.  A constraint on an assigned index
+        is checked at once, and a cycle type unlike the row already there
+        rejects it before the conjugate is built; a constraint on a free
+        index waits in the queue.
+        """
+        rows, invs, ranks = self.rows, self.invs, self.rank_at
+        rank = self.rank_of[row]
+        if (self.quandle_only and row[index] != index) or not self.admitted[rank]:
+            return None
         trail = []
-        queue = [(index, row)]
+        # (index, p, r, p^-1, rank of r): the row at index is p.r.p^-1
+        identity = self.identity
+        queue = [(index, identity, row, identity, rank)]
         while queue:
-            i, q = queue.pop()
+            i, p, r, pi, rank = queue.pop()
+            q = tuple(map(p.__getitem__, map(r.__getitem__, pi)))
             if rows[i] is not None:
                 if rows[i] != q:
                     self._rollback(trail)
                     return None
                 continue
-            if (self.quandle_only and q[i] != i) or type_of[q] > self.root_type:
-                self._rollback(trail)
-                return None
             rows[i] = q
             invs[i] = qi = _invert(q)
+            ranks[i] = rank
             self.assigned.append(i)
             trail.append(i)
             for a in self.assigned:
                 ra, ia = rows[a], invs[a]
-                queue.append((q[a], _compose(q, _compose(ra, qi))))
-                queue.append((ra[i], _compose(ra, _compose(q, ia))))
+                j = q[a]
+                if rows[j] is None:
+                    queue.append((j, q, ra, qi, ranks[a]))
+                elif ranks[j] != ranks[a] or rows[j] != tuple(map(q.__getitem__, map(ra.__getitem__, qi))):
+                    self._rollback(trail)
+                    return None
+                j = ra[i]
+                if rows[j] is None:
+                    queue.append((j, ra, q, ia, rank))
+                elif ranks[j] != rank or rows[j] != tuple(map(ra.__getitem__, map(q.__getitem__, ia))):
+                    self._rollback(trail)
+                    return None
         return trail
 
     def _rollback(self, trail):
@@ -164,7 +261,7 @@ class _RowSearch:
             self.invs[i] = None
             self.assigned.pop()
 
-    def _branch(self):
+    def _branch(self, group):
         rows = self.rows
         if len(self.assigned) == self.n:
             self.emit(tuple(rows))
@@ -175,32 +272,48 @@ class _RowSearch:
         for a in self.assigned:
             c = rows[a][index]
             if rows[c] is not None:
-                q = _compose(self.invs[a], _compose(rows[c], rows[a]))
+                ia = self.invs[a]
+                q = tuple(map(ia.__getitem__, map(rows[c].__getitem__, rows[a])))
                 if pinned is None:
                     pinned = q
                 elif pinned != q:
                     return
         if pinned is not None:
+            # The pinned index and row come from the assigned ones by
+            # conjugation, so the group fixes and commutes with them already.
             trail = self._try_assign(index, pinned)
             if trail is not None:
-                self._branch()
+                self._branch(group)
                 self._rollback(trail)
             return
-        by_type = self.cands[index]
-        types = [t for t in self.all_types if t <= self.root_type]
+        group = [g for g in group if g[0][index] == index]
+        by_rank = self.cands[index]
+        ranks = self.ranks
         if self.rng is not None:
-            types = list(types)
-            self.rng.shuffle(types)
-        for t in types:
-            cands = by_type[t]
+            ranks = list(ranks)
+            self.rng.shuffle(ranks)
+        for k in ranks:
+            cands = by_rank[k]
             if self.rng is not None:
                 cands = list(cands)
                 self.rng.shuffle(cands)
             for q in cands:
-                trail = self._try_assign(index, q)
-                if trail is not None:
-                    self._branch()
-                    self._rollback(trail)
+                # what commutes with q fixes and commutes with every row and
+                # index that propagating q assigns, which come from q and the
+                # assigned rows by conjugation
+                stabilizer = []
+                for g in group:
+                    c, ci = g
+                    conj = tuple(map(c.__getitem__, map(q.__getitem__, ci)))
+                    if conj < q:
+                        break
+                    if conj == q:
+                        stabilizer.append(g)
+                else:
+                    trail = self._try_assign(index, q)
+                    if trail is not None:
+                        self._branch(stabilizer)
+                        self._rollback(trail)
 
 
 def _bound_for(filt: EnumerationFilter, bound):
@@ -224,7 +337,7 @@ def enumerate_racks(filt: EnumerationFilter, *, bound=None, rng=None):
         key = table_bytes(form)
         if key not in found:
             found[key] = form
-    _RowSearch(filt.order, filt.quandle_only, emit, rng=rng).run()
+    _RowSearch(filt, emit, rng=rng).run()
     return [found[key] for key in sorted(found)]
 
 

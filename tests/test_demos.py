@@ -11,6 +11,7 @@ FAST_DEMOS = [
     "sl2f3_rack.py",
     "marks_and_colorings.py",
     "crossed_actions.py",
+    "enumeration_census.py",
 ]
 
 

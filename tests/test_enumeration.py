@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 from itertools import product as iproduct
 
 import pytest
@@ -6,13 +7,17 @@ import pytest
 from rackring import (
     ClassRegistry,
     EnumerationFilter,
+    Perm,
     canonical_key,
+    centralizer_order_in_sym,
     count,
     enumerate_racks,
     enumerate_racks_naive,
+    is_connected,
     populate_registry,
     validate_table,
 )
+from rackring.enumeration import _centralizer_fixing, _root_rows, _RowSearch
 
 
 def keyset(tables):
@@ -32,12 +37,28 @@ def test_quandle_counts():
     assert count(EnumerationFilter(5, quandle_only=True)) == 22
 
 
-def test_connected_quandle_counts_through_order_six():
+def forms(tables):
+    return [t.table for t in tables]
+
+
+def test_connected_quandle_counts_through_order_eight():
     got = [
         count(EnumerationFilter(n, quandle_only=True, connected_only=True))
-        for n in range(1, 7)
+        for n in range(1, 9)
     ]
-    assert got == [1, 0, 1, 1, 3, 2]
+    assert got == [1, 0, 1, 1, 3, 2, 5, 3]
+
+
+def test_connected_search_matches_filtered_full_search():
+    # the connected search offers only the root's cycle type; filtering the
+    # full search at the leaves is a second route to the same classes
+    cases = [(n, False) for n in range(7)] + [(n, True) for n in range(8)]
+    for n, quandle_only in cases:
+        full = enumerate_racks(EnumerationFilter(n, quandle_only=quandle_only))
+        connected = enumerate_racks(
+            EnumerationFilter(n, quandle_only=quandle_only, connected_only=True)
+        )
+        assert forms(connected) == forms(t for t in full if t.n and is_connected(t))
 
 
 def test_prime_order_connected_quandles_are_affine_count():
@@ -96,6 +117,55 @@ def test_shuffle_stability():
         enumerate_racks(EnumerationFilter(6, quandle_only=True), rng=random.Random(3))
     )
     assert again == quandles
+    # the pruning group depends on which free index the search branches on
+    order_seven = EnumerationFilter(7, quandle_only=True)
+    base = forms(enumerate_racks(order_seven))
+    for seed in (2, 11):
+        assert forms(enumerate_racks(order_seven, rng=random.Random(seed))) == base
+
+
+def emitted(filt):
+    tables = []
+    _RowSearch(filt, tables.append).run()
+    return tables
+
+
+def test_symmetry_pruning_emits_fewer_tables():
+    # fixing only row 0 emits 1405 tables for the 298 quandles of order 7
+    # and 917 for the 353 racks of order 6
+    quandles = emitted(EnumerationFilter(7, quandle_only=True))
+    racks = emitted(EnumerationFilter(6))
+    assert 298 <= len(quandles) < 1405
+    assert 353 <= len(racks) < 917
+    assert all(validate_table(rows).ok for rows in quandles + racks)
+
+
+def test_root_group_is_the_centralizer_fixing_the_root_point():
+    for n in range(1, 8):
+        for quandle_only in (False, True):
+            for root in _root_rows(n, quandle_only):
+                group = _centralizer_fixing(root, 0)
+                elements = {c for c, _ in group}
+                assert len(elements) == len(group)
+                assert tuple(range(n)) not in elements
+                for c, inverse in group:
+                    assert c[0] == 0
+                    assert all(c[root[x]] == root[c[x]] for x in range(n))
+                    assert all(inverse[c[x]] == x for x in range(n))
+                # the centralizer moves 0 onto every point on a cycle as long
+                # as the one through 0, so the stabilizer of 0 is the rest
+                length, x = 1, root[0]
+                while x != 0:
+                    length, x = length + 1, root[x]
+                orbit = length * Perm(root).cycle_lengths().count(length)
+                assert (len(group) + 1) * orbit == centralizer_order_in_sym(Perm(root))
+                if n <= 5:
+                    brute = {
+                        c
+                        for c in permutations(range(n))
+                        if c[0] == 0 and all(c[root[x]] == root[c[x]] for x in range(n))
+                    }
+                    assert elements | {tuple(range(n))} == brute
 
 
 def test_representatives_are_canonical():
