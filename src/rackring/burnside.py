@@ -10,7 +10,6 @@ factorization.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from math import isqrt
 
@@ -19,6 +18,10 @@ from .canonical import canonical_form, canonical_key, key_table, table_bytes
 from .cycles import CycleVector, SparseVector
 from .racks import RackTable, _significant_lines, cycle_rack, product, trivial
 from .structure import connected_parts, is_connected, profile
+
+# Largest basis product BurnsideRing tabulates: order 150 takes about 24 s,
+# 180 and 729 run for minutes.
+MAX_PRODUCT_ORDER = 150
 
 
 @dataclass
@@ -33,13 +36,14 @@ class ClassEntry:
 class ClassRegistry:
     """Registry of connected isomorphism classes with stable integer ids.
 
-    Writes are serialized by a lock; reads are plain dictionary lookups.
+    A plain in-memory index: ids are assigned in registration order, and
+    `register` is the only code that adds entries.  Processes sharing a
+    workspace are serialized by the workspace's file lock, not here.
     """
 
     def __init__(self):
         self._by_key = {}
         self._by_id = []
-        self._lock = threading.Lock()
 
     def __len__(self):
         return len(self._by_id)
@@ -56,13 +60,10 @@ class ClassRegistry:
             return entry.id
         if not is_connected(form):
             raise ValueError("only connected classes may be registered")
-        with self._lock:
-            entry = self._by_key.get(key)
-            if entry is None:
-                entry = ClassEntry(len(self._by_id), key, form.n, form, form.is_quandle())
-                self._by_id.append(entry)
-                self._by_key[key] = entry
-            return entry.id
+        entry = ClassEntry(len(self._by_id), key, form.n, form, form.is_quandle())
+        self._by_id.append(entry)
+        self._by_key[key] = entry
+        return entry.id
 
     def entry(self, class_id: int) -> ClassEntry:
         return self._by_id[class_id]
@@ -137,6 +138,10 @@ class BurnsideRing:
         if memo is None:
             left = self.registry.entry(pair[0]).table
             right = self.registry.entry(pair[1]).table
+            if left.n * right.n > MAX_PRODUCT_ORDER:
+                raise ValueError(
+                    f"product of classes of orders {left.n} and {right.n} exceeds the product bound {MAX_PRODUCT_ORDER}"
+                )
             memo = self.of_rack(product(left, right))
             self.product_memo[pair] = memo
         return memo

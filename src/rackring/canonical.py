@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import struct
 
-from .perms import Perm, PermGroup, _cycle_lengths, group_closure_from
+from .perms import Perm, PermGroup, _cycle_lengths
 from .racks import RackTable
 from .structure import _orbit_partition
 
@@ -277,7 +277,7 @@ def automorphism_group(r: RackTable) -> PermGroup:
     if r.n == 0:
         raise ValueError("the empty rack has no automorphism group action")
     _, _, auts = _canonical_search(r.table)
-    return group_closure_from(r.n, map(Perm, auts))
+    return PermGroup(r.n, map(Perm, auts))
 
 
 def automorphisms(r: RackTable) -> list:

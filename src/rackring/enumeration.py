@@ -18,11 +18,11 @@ generator at small orders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import permutations, product
 
 from .canonical import canonical_form, table_bytes
-from .perms import _cycle_lengths
+from .perms import _cycle_lengths, _cycles, _invert
 from .racks import RackTable
 from .structure import _orbit_partition
 
@@ -89,28 +89,6 @@ def _root_rows(n, quandle_only):
                 _lay_cycles(images, sorted(rest, reverse=True), j)
                 roots.append(tuple(images))
     return roots
-
-
-def _invert(p):
-    inv = [0] * len(p)
-    for i, v in enumerate(p):
-        inv[v] = i
-    return tuple(inv)
-
-
-def _cycles(p):
-    seen = [False] * len(p)
-    out = []
-    for start in range(len(p)):
-        cycle = []
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            cycle.append(x)
-            x = p[x]
-        if cycle:
-            out.append(cycle)
-    return out
 
 
 def _centralizer_fixing(row, point):
@@ -348,9 +326,8 @@ def count(filt: EnumerationFilter, **kw) -> int:
 def populate_registry(filt: EnumerationFilter, registry, **kw) -> int:
     """Register every connected class found; returns the number added."""
     before = len(registry)
-    for table in enumerate_racks(filt, **kw):
-        if len(_orbit_partition(table.table)) == 1 and table.n >= 1:
-            registry.register(table)
+    for table in enumerate_racks(replace(filt, connected_only=True), **kw):
+        registry.register(table)
     return len(registry) - before
 
 

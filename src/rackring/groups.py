@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .canonical import automorphism_group, automorphisms
+from .canonical import automorphism_group
 from .perms import Perm
 from .racks import FormatError, RackTable, _read_header, _read_int_rows
 
@@ -342,12 +342,12 @@ def rack_to_crossed(r: RackTable) -> CrossedGSet:
     """The crossed action of the automorphism group, crossing by rows."""
     if r.n == 0:
         raise ValueError("the empty rack admits no crossed action")
-    order = automorphism_group(r).order()
+    aut = automorphism_group(r)
+    order = aut.order()
     if order > MAX_CROSSED_GROUP_ORDER:
         raise ValueError(f"automorphism group order {order} exceeds the crossed-action bound {MAX_CROSSED_GROUP_ORDER}")
-    auts = automorphisms(r)
-    identity = Perm.identity(r.n)
-    elements = [identity] + [p for p in auts if p != identity]
+    # sorted by image tuple, so the identity comes first
+    elements = sorted(aut.elements(), key=lambda p: p.images)
     index = {p: i for i, p in enumerate(elements)}
     cayley = [[index[p * q] for q in elements] for p in elements]
     group = FinGroup(cayley, _checked=True)

@@ -55,10 +55,7 @@ class Perm:
         return Perm(self.images[i] for i in other.images)
 
     def inverse(self):
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Perm(inv)
+        return Perm(_invert(self.images))
 
     def __pow__(self, k):
         if k < 0:
@@ -77,19 +74,7 @@ class Perm:
 
     def cycles(self):
         """Cycles of length >= 2, each starting at its least point."""
-        seen = set()
-        out = []
-        for i in range(self.degree):
-            if i in seen or self.images[i] == i:
-                continue
-            cycle = [i]
-            j = self.images[i]
-            while j != i:
-                seen.add(j)
-                cycle.append(j)
-                j = self.images[j]
-            out.append(cycle)
-        return out
+        return [c for c in _cycles(self.images) if len(c) > 1]
 
     def cycle_lengths(self):
         """All cycle lengths including fixed points, sorted descending."""
@@ -113,6 +98,31 @@ class Perm:
 
     def __hash__(self):
         return hash(self.images)
+
+
+def _invert(images):
+    """Image tuple of the inverse permutation."""
+    inv = [0] * len(images)
+    for i, v in enumerate(images):
+        inv[v] = i
+    return tuple(inv)
+
+
+def _cycles(images):
+    """All cycles of the permutation with these images, fixed points
+    included, each starting at its least point, ordered by that point."""
+    seen = [False] * len(images)
+    out = []
+    for start in range(len(images)):
+        cycle = []
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            cycle.append(x)
+            x = images[x]
+        if cycle:
+            out.append(cycle)
+    return out
 
 
 def _cycle_lengths(images):
@@ -169,9 +179,10 @@ def _union_find(points, pairs):
 class PermGroup:
     """Permutation group given by generators, with a stabilizer chain.
 
-    The chain is built deterministically: each new base point is the
-    least point moved by the residue that forced it, so orders, orbits
-    and element listings are reproducible.
+    The chain is grown by sifting each generator in, in the order given.
+    It is built deterministically: each new base point is the least point
+    moved by the residue that forced it, so orders, orbits and element
+    listings are reproducible.
     """
 
     def __init__(self, degree, generators=()):
@@ -184,12 +195,8 @@ class PermGroup:
         self._base = []
         self._strong = []  # strong generators fixing base[:level]
         self._transversal = []  # dicts point -> coset representative
-        gens = [g for g in generators if not g.is_identity()]
-        if gens:
-            self._base.append(min(i for g in gens for i in range(degree) if g(i) != i))
-            self._strong.append(list(gens))
-            self._transversal.append({})
-            self._schreier_sims(0)
+        for g in generators:
+            self._sift_in(g, 0)
 
     # -- chain construction -------------------------------------------------
 
@@ -216,28 +223,30 @@ class PermGroup:
             g = tr[p].inverse() * g
         return g, len(self._base)
 
+    def _sift_in(self, g, level):
+        """Strip g from `level` down.  A residue other than the identity
+        becomes a strong generator of every level from `level` to the one it
+        dropped out at (a new base point, its least moved point, if it passed
+        them all), and those levels are completed again, deepest first."""
+        residue, drop = self._strip(g, level)
+        if residue.is_identity():
+            return
+        if drop == len(self._base):
+            self._base.append(min(i for i in range(self.degree) if residue(i) != i))
+            self._strong.append([])
+            self._transversal.append({})
+        for j in range(level, drop + 1):
+            self._strong[j].append(residue)
+        for j in range(drop, level - 1, -1):
+            self._schreier_sims(j)
+
     def _schreier_sims(self, level):
         self._orbit_transversal(level)
         tr = self._transversal[level]
         for point in sorted(tr):
             rep = tr[point]
             for s in list(self._strong[level]):
-                target = s(point)
-                schreier = self._transversal[level][target].inverse() * (s * rep)
-                if schreier.is_identity():
-                    continue
-                residue, drop = self._strip(schreier, level + 1)
-                if residue.is_identity():
-                    continue
-                if drop == len(self._base):
-                    moved = min(i for i in range(self.degree) if residue(i) != i)
-                    self._base.append(moved)
-                    self._strong.append([])
-                    self._transversal.append({})
-                for j in range(level + 1, drop + 1):
-                    self._strong[j].append(residue)
-                for j in range(drop, level, -1):
-                    self._schreier_sims(j)
+                self._sift_in(tr[s(point)].inverse() * (s * rep), level + 1)
 
     # -- queries -------------------------------------------------------------
 
@@ -280,15 +289,3 @@ class PermGroup:
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order()})"
-
-
-def group_closure_from(degree, perms):
-    """Group generated by perms, adding only generators not already reached."""
-    kept = []
-    group = PermGroup(degree, ())
-    for p in perms:
-        if p not in group:
-            kept.append(p)
-            group = PermGroup(degree, tuple(kept))
-    return group
-

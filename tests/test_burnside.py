@@ -19,6 +19,7 @@ from rackring import (
     symmetric_group,
     trivial,
 )
+from rackring.burnside import MAX_PRODUCT_ORDER
 
 
 def test_of_rack_sym3_decomposition(ring):
@@ -56,6 +57,13 @@ def test_mul_examples(ring):
     assert coeff == 1
     entry = ring.registry.entry(class_id)
     assert entry.order == 9 and entry.quandle
+
+
+def test_mul_refuses_products_above_the_bound(ring):
+    d3_cubed = ring.class_of(product(product(dihedral(3), dihedral(3)), dihedral(3)))
+    with pytest.raises(ValueError, match=f"orders 27 and 27 exceeds the product bound {MAX_PRODUCT_ORDER}"):
+        ring.mul(d3_cubed, d3_cubed)
+    assert ring.product_memo == {}
 
 
 def test_mul_agrees_with_products_of_racks(ring, racks_by_order):

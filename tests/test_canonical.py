@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from itertools import permutations
 
@@ -167,6 +168,7 @@ def test_automorphism_group_order_counts_bijective_endomorphisms(racks_by_order)
 def test_dihedral_automorphism_group_orders():
     for p in (5, 7, 11, 13):
         assert automorphism_group(dihedral(p)).order() == p * (p - 1)
+    assert automorphism_group(trivial(16)).order() == math.factorial(16)
 
 
 def test_inner_group_inside_automorphism_group(racks_by_order):

@@ -13,13 +13,14 @@ from rackring import (
     format_presentation,
     parse_element,
     permutation_rack,
+    product,
     save_rack,
     symmetric_group,
     trefoil_presentation,
     trivial,
     Perm,
 )
-from rackring.burnside import ClassRegistry
+from rackring.burnside import MAX_PRODUCT_ORDER, ClassRegistry
 from rackring.cli import main
 from rackring.groups import MAX_CROSSED_GROUP_ORDER
 
@@ -199,6 +200,21 @@ def test_mul_command(capsys, tmp_path, workspace, dih3_file):
     ((class_id, coeff),) = element.items()
     assert coeff == 1
     assert registry.entry(class_id).order == 9
+
+
+def test_mul_command_bounds_product_order(capsys, tmp_path, workspace, dih3_file):
+    from rackring import canonical_key
+
+    run(capsys, "--workspace", workspace, "burnside", dih3_file)
+    registry_file = Path(workspace) / "registry.txt"
+    before = registry_file.read_text()
+    d3_cubed = product(product(dihedral(3), dihedral(3)), dihedral(3))
+    element_file = tmp_path / "d3cubed.elem"
+    element_file.write_text(f"1 {canonical_key(d3_cubed).hex()}\n")
+    code, out, err = run(capsys, "--workspace", workspace, "mul", str(element_file), str(element_file))
+    assert code == 1 and out == ""
+    assert "27 and 27" in err and str(MAX_PRODUCT_ORDER) in err and "Traceback" not in err
+    assert registry_file.read_text() == before
 
 
 def test_marks_command(capsys, dih3_file):

@@ -209,3 +209,14 @@ def test_populate_registry():
     assert len(connected_order_3) == 2  # the dihedral quandle and the 3-cycle
     again = populate_registry(EnumerationFilter(3), registry)
     assert again == 0
+    # the connected search registers the connected classes of the full one
+    cases = [(n, False) for n in range(7)] + [(n, True) for n in range(8)]
+    for n, quandle_only in cases:
+        filt = EnumerationFilter(n, quandle_only=quandle_only)
+        registry = ClassRegistry()
+        assert populate_registry(filt, registry) == len(registry)
+        expected = [t for t in enumerate_racks(filt) if t.n and is_connected(t)]
+        entries = registry.entries()
+        assert [e.id for e in entries] == list(range(len(entries)))
+        assert [e.key for e in entries] == sorted(canonical_key(t) for t in expected)
+        assert forms(e.table for e in entries) == forms(expected)

@@ -63,12 +63,19 @@ def test_order_matches_brute_closure_small_degrees():
         5: [[[0, 1, 2, 3, 4]], [[0, 1, 2, 3, 4], [0, 1]], [[0, 1], [2, 3, 4]]],
         6: [[[0, 1, 2, 3, 4, 5]], [[0, 1, 2], [3, 4, 5]], [[0, 1], [2, 3], [4, 5]], [[0, 1, 2, 3, 4, 5], [0, 1]]],
     }
+    # identities, repeats and generators the earlier ones already generate
+    pool[1] = [[[]], [[], []]]
+    pool[3] += [[[0, 1], [1, 2], [0, 2], [0, 1], []], [[], [0, 1, 2], [0, 2, 1], [0, 1, 2]]]
+    pool[4] += [[[0, 1], [0, 1], [2, 3], [0, 1], [2, 3]], [[0, 1, 2, 3], [0, 2], [1, 3], [0, 3], []]]
+    pool[5] += [[[0, 1, 2], [0, 1, 2], [2, 3, 4], [0, 4, 2], [], [0, 1, 2, 3, 4]]]
+    pool[6] += [[[0, 1], [2, 3], [0, 2], [1, 3], [0, 3], [4, 5], [], [0, 1, 2, 3]]]
     for degree, gen_sets in pool.items():
         for cycles in gen_sets:
             gens = [Perm.from_cycles(degree, c) for c in cycles]
             group = PermGroup(degree, gens)
             closure = brute_closure(degree, gens)
             assert group.order() == len(closure)
+            assert sorted(p.images for p in group.elements()) == sorted(p.images for p in closure)
             for p in closure:
                 assert p in group
 
