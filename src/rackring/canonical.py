@@ -18,8 +18,7 @@ from __future__ import annotations
 import struct
 
 from .perms import Perm, PermGroup, _cycle_lengths
-from .racks import RackTable
-from .structure import _orbit_partition
+from .racks import RackTable, _orbit_partition
 
 MAX_DEGREE = 65535  # two bytes per table entry in the serialized key
 
@@ -157,7 +156,7 @@ def canonical_form(r: RackTable):
         return r, Perm.identity(0)
     flat, label, _ = _canonical_search(r.table)
     rows = [flat[a * n : (a + 1) * n] for a in range(n)]
-    return RackTable._wrap(rows), Perm(label)
+    return RackTable._wrap(rows), Perm._wrap(tuple(label))
 
 
 def table_bytes(r: RackTable) -> bytes:
@@ -221,8 +220,8 @@ def _table_constraints(table):
 
 
 def _extend(constraints, target):
-    """Every map f from the source points into a target rack table with
-    f(m) = f(i) |> f(j) for each constraint (i, j, m), as sorted image tuples.
+    """Yield every map f from the source points into a target rack table
+    with f(m) = f(i) |> f(j) for each constraint (i, j, m), as image tuples.
 
     The source has one point per entry of `constraints`, and entry x lists
     the constraints with x as i or j.  Branching takes the first unassigned
@@ -230,7 +229,6 @@ def _extend(constraints, target):
     """
     n = len(constraints)
     image = [None] * n
-    out = []
 
     def assign(v, w):
         """Set image[v] = w and propagate; return the trail, or None on conflict."""
@@ -258,17 +256,15 @@ def _extend(constraints, target):
     def rec():
         v = next((x for x in range(n) if image[x] is None), None)
         if v is None:
-            out.append(tuple(image))
+            yield tuple(image)
             return
         for w in range(len(target)):
             trail = assign(v, w)
             if trail is not None:
-                rec()
+                yield from rec()
                 rollback(trail)
 
-    rec()
-    out.sort()
-    return out
+    return rec()
 
 
 def automorphism_group(r: RackTable) -> PermGroup:
@@ -277,7 +273,7 @@ def automorphism_group(r: RackTable) -> PermGroup:
     if r.n == 0:
         raise ValueError("the empty rack has no automorphism group action")
     _, _, auts = _canonical_search(r.table)
-    return PermGroup(r.n, map(Perm, auts))
+    return PermGroup(r.n, map(Perm._wrap, auts))
 
 
 def automorphisms(r: RackTable) -> list:

@@ -23,8 +23,7 @@ from itertools import permutations, product
 
 from .canonical import canonical_form, table_bytes
 from .perms import _cycle_lengths, _cycles, _invert
-from .racks import RackTable
-from .structure import _orbit_partition
+from .racks import RackTable, _orbit_partition
 
 DEFAULT_QUANDLE_BOUND = 8
 DEFAULT_RACK_BOUND = 6
@@ -148,9 +147,10 @@ class _RowSearch:
         self.identity = tuple(range(n))
         perms = list(permutations(range(n)))
         # rank k is the k-th largest cycle type
-        types = sorted({_cycle_lengths(p) for p in perms}, reverse=True)
+        lengths = [_cycle_lengths(p) for p in perms]
+        types = sorted(set(lengths), reverse=True)
         rank = {t: k for k, t in enumerate(types)}
-        self.rank_of = {p: rank[_cycle_lengths(p)] for p in perms}
+        self.rank_of = {p: rank[t] for p, t in zip(perms, lengths)}
         self.type_count = len(types)
         self.cands = []
         for i in range(n):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .canonical import automorphism_group
-from .perms import Perm
+from .perms import Perm, _compose
 from .racks import FormatError, RackTable, _read_header, _read_int_rows
 
 # Largest automorphism group rack_to_crossed tabulates: 720 takes seconds, 5,040 minutes.
@@ -82,7 +82,7 @@ class FinGroup:
 
     def subgroup_from(self, gens) -> tuple:
         """Closure of the generators, as a sorted element tuple."""
-        return tuple(sorted(_closure(0, list(gens), self.mul)[0]))
+        return tuple(sorted(_closure(0, list(gens), self.mul)))
 
     def is_subgroup(self, elements) -> bool:
         elements = set(elements)
@@ -137,37 +137,39 @@ def cyclic_group(n: int) -> FinGroup:
     )
 
 
+def _tabulate(elements, mul) -> tuple:
+    """The group of the listed elements (a group under mul, identity
+    first) as a Cayley table in that order, and the index of each element."""
+    index = {x: i for i, x in enumerate(elements)}
+    cayley = [[index[mul(a, b)] for b in elements] for a in elements]
+    return FinGroup(cayley, _checked=True), index
+
+
 def symmetric_group(m: int) -> FinGroup:
     """Cayley table of all permutations of m letters, identity first."""
     elements = [tuple(range(m))] + sorted(
         p for p in permutations(range(m)) if p != tuple(range(m))
     )
-    index = {p: i for i, p in enumerate(elements)}
-    cayley = [
-        [index[tuple(p[q[i]] for i in range(m))] for q in elements] for p in elements
-    ]
-    return FinGroup(cayley, _checked=True)
+    return _tabulate(elements, _compose)[0]
 
 
 def _closure(identity, gens, step):
-    """Everything step(x, g) reaches from the identity, in breadth-first
-    order, with the index of each element."""
+    """Everything step(x, g) reaches from the identity, in breadth-first order."""
     elements = [identity]
-    index = {identity: 0}
+    seen = {identity}
     for x in elements:  # the list grows while it is walked
         for g in gens:
             y = step(x, g)
-            if y not in index:
-                index[y] = len(elements)
+            if y not in seen:
+                seen.add(y)
                 elements.append(y)
-    return elements, index
+    return elements
 
 
 def group_from_permutations(degree: int, gens) -> tuple:
     """Closure of permutation generators: (FinGroup, element Perm list)."""
-    elements, index = _closure(Perm.identity(degree), list(gens), lambda x, g: g * x)
-    cayley = [[index[a * b] for b in elements] for a in elements]
-    return FinGroup(cayley, _checked=True), elements
+    elements = _closure(Perm.identity(degree), list(gens), lambda x, g: g * x)
+    return _tabulate(elements, Perm.__mul__)[0], elements
 
 
 def dihedral_group(order: int) -> FinGroup:
@@ -203,9 +205,8 @@ def special_linear_2(p: int, generators=None):
         e, f, g, h = y
         return ((a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p)
 
-    elements, index = _closure((1, 0, 0, 1), [tuple(x % p for x in m) for m in generators], mat_mul)
-    cayley = [[index[mat_mul(x, y)] for y in elements] for x in elements]
-    return FinGroup(cayley, _checked=True), elements
+    elements = _closure((1, 0, 0, 1), [tuple(x % p for x in m) for m in generators], mat_mul)
+    return _tabulate(elements, mat_mul)[0], elements
 
 
 def conjugation_quandle(group: FinGroup) -> RackTable:
@@ -293,9 +294,10 @@ class CrossedGSet:
                 raise ValueError("action degree mismatch")
         if not self.action[0].is_identity():
             raise ValueError("the identity must act trivially")
+        images = [p.images for p in self.action]
         for a in range(g.n):
-            for b in range(g.n):
-                if self.action[g.mul(a, b)] != self.action[a] * self.action[b]:
+            for b, ab in enumerate(g.cayley[a]):
+                if images[ab] != _compose(images[a], images[b]):
                     raise ValueError(f"action is not a homomorphism at ({a}, {b})")
         for a in range(g.n):
             pa = self.action[a]
@@ -348,10 +350,8 @@ def rack_to_crossed(r: RackTable) -> CrossedGSet:
         raise ValueError(f"automorphism group order {order} exceeds the crossed-action bound {MAX_CROSSED_GROUP_ORDER}")
     # sorted by image tuple, so the identity comes first
     elements = sorted(aut.elements(), key=lambda p: p.images)
-    index = {p: i for i, p in enumerate(elements)}
-    cayley = [[index[p * q] for q in elements] for p in elements]
-    group = FinGroup(cayley, _checked=True)
-    delta = tuple(index[r.row_perm(a)] for a in range(r.n))
+    group, index = _tabulate([p.images for p in elements], _compose)
+    delta = tuple(index[row] for row in r.table)
     return CrossedGSet(group, r.n, tuple(elements), delta)
 
 

@@ -21,7 +21,11 @@ def enumerate_morphisms(c: RackTable, r: RackTable) -> list:
     """All maps f with f(a |> b) = f(a) |> f(b), as image tuples, sorted."""
     if c.n == 0:
         raise ValueError("the source must be nonempty")
-    return _extend(_table_constraints(c.table), r.table)
+    return sorted(_extend(_table_constraints(c.table), r.table))
+
+
+def _morphism_count(c: RackTable, r: RackTable) -> int:
+    return sum(1 for _ in _extend(_table_constraints(c.table), r.table))
 
 
 @dataclass
@@ -53,7 +57,7 @@ def mark(c: RackTable, x: BurnsideElement, ring: BurnsideRing) -> int:
     if not is_connected(c):
         raise ValueError("marks are only defined for connected sources")
     return sum(
-        coeff * len(enumerate_morphisms(c, ring.registry.entry(i).table))
+        coeff * _morphism_count(c, ring.registry.entry(i).table)
         for i, coeff in x.items()
     )
 
@@ -63,7 +67,7 @@ def mark_matrix(sources, targets) -> list:
     for c in sources:
         if not is_connected(c):
             raise ValueError("marks are only defined for connected sources")
-    return [[len(enumerate_morphisms(c, r)) for r in targets] for c in sources]
+    return [[_morphism_count(c, r) for r in targets] for c in sources]
 
 
 def verify_triangular_recursion(c: RackTable, r: RackTable) -> bool:
@@ -120,7 +124,7 @@ def colorings(p: PresentedQuandle, r: RackTable) -> int:
         relation = (i, j, m) if kind == "apply" else (i, m, j)
         for x in {relation[0], relation[1]}:
             constraints[x].append(relation)
-    return len(_extend(constraints, r.table))
+    return sum(1 for _ in _extend(constraints, r.table))
 
 
 def parse_presentation(text: str) -> PresentedQuandle:

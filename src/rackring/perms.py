@@ -14,7 +14,11 @@ from .cycles import CycleVector
 
 
 class Perm:
-    """An immutable permutation, stored as its tuple of images."""
+    """An immutable permutation, stored as its tuple of images.
+
+    `Perm(images)` and `from_cycles` check their input.  Permutations derived
+    from checked ones (products, inverses, powers, the identity, rack rows,
+    the canonical search's automorphisms and labellings) skip it via `_wrap`."""
 
     __slots__ = ("images",)
 
@@ -28,11 +32,21 @@ class Perm:
         raise AttributeError("Perm is immutable")
 
     @classmethod
+    def _wrap(cls, images):
+        """Wrap an image tuple known to be a permutation."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "images", images)
+        return self
+
+    @classmethod
     def identity(cls, degree):
-        return cls(range(degree))
+        return cls._wrap(tuple(range(degree)))
 
     @classmethod
     def from_cycles(cls, degree, *cycles):
+        points = [x for cycle in cycles for x in cycle]
+        if len(set(points)) != len(points):
+            raise ValueError(f"cycles repeat a point: {cycles!r}")
         images = list(range(degree))
         for cycle in cycles:
             for i, j in zip(cycle, cycle[1:]):
@@ -50,12 +64,12 @@ class Perm:
 
     def __mul__(self, other):
         """Composition p * q applies q first: (p * q)(x) = p(q(x))."""
-        if self.degree != other.degree:
+        if len(self.images) != len(other.images):
             raise ValueError("degree mismatch")
-        return Perm(self.images[i] for i in other.images)
+        return Perm._wrap(_compose(self.images, other.images))
 
     def inverse(self):
-        return Perm(_invert(self.images))
+        return Perm._wrap(_invert(self.images))
 
     def __pow__(self, k):
         if k < 0:
@@ -100,6 +114,11 @@ class Perm:
         return hash(self.images)
 
 
+def _compose(p, q):
+    """Image tuple of the permutation with images p after the one with images q."""
+    return tuple(map(p.__getitem__, q))
+
+
 def _invert(images):
     """Image tuple of the inverse permutation."""
     inv = [0] * len(images)
@@ -128,19 +147,7 @@ def _cycles(images):
 def _cycle_lengths(images):
     """Cycle lengths of the permutation with these images, fixed points
     included, sorted descending."""
-    seen = [False] * len(images)
-    lengths = []
-    for i in range(len(images)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = images[j]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
+    return tuple(sorted(map(len, _cycles(images)), reverse=True))
 
 
 def centralizer_order_in_sym(p: Perm) -> int:

@@ -8,6 +8,7 @@ multiplication by a.  Quandles are the racks with a |> a = a everywhere.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 from .perms import Perm, _union_find
@@ -102,10 +103,10 @@ class RackTable:
         return self.table[a][b]
 
     def row_perm(self, a) -> Perm:
-        return Perm(self.table[a])
+        return Perm._wrap(self.table[a])
 
     def row_perms(self):
-        return [Perm(row) for row in self.table]
+        return [Perm._wrap(row) for row in self.table]
 
     def canonical_automorphism(self) -> Perm:
         """The permutation a -> a |> a (trivial exactly for quandles)."""
@@ -121,11 +122,7 @@ class RackTable:
 
     def power(self, k: int) -> "RackTable":
         """The rack with each left multiplication replaced by its k-th power."""
-        rows = []
-        for a in range(self.n):
-            p = self.row_perm(a) ** k
-            rows.append(p.images)
-        return RackTable(rows)
+        return RackTable((p**k).images for p in self.row_perms())
 
     def relabel(self, p: Perm) -> "RackTable":
         """Transport the structure along p: new[p(a)][p(b)] = p(old[a][b])."""
@@ -224,6 +221,13 @@ def is_ideal(r: RackTable, subset) -> bool:
     if not all(0 <= x < r.n for x in subset):
         raise ValueError("subset index out of range")
     return all({r.table[a][b] for b in subset} == subset for a in range(r.n))
+
+
+def _orbit_partition(table, indices=None):
+    """Orbits of the rows' action, as sorted tuples ordered by least element."""
+    if indices is None:
+        indices = range(len(table))
+    return _union_find(indices, ((b, table[a][b]) for a in indices for b in indices))
 
 
 def inner_fixed_points(r: RackTable) -> tuple:
@@ -328,6 +332,19 @@ def load_rack(path) -> RackTable:
         return parse_rack(fh.read())
 
 
+def _write_text(path, text):
+    """Replace `path` by a file holding `text`: write a temporary file in the
+    same directory, then rename it over `path`, so readers and crashes see
+    the old content or the new, never a partial file."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def save_rack(r: RackTable, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_rack(r))
+    _write_text(path, format_rack(r))

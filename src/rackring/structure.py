@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .canonical import _canonical_search
 from .cycles import CycleVector
 from .perms import PermGroup, _union_find
-from .racks import RackTable
+from .racks import RackTable, _orbit_partition
 
 MAX_ORBITS_FOR_IDEALS = 12
 
@@ -20,13 +21,6 @@ MAX_ORBITS_FOR_IDEALS = 12
 def inner_group(r: RackTable) -> PermGroup:
     """Group generated by the left multiplications (trivial for n = 0)."""
     return PermGroup(r.n, tuple(r.row_perms()))
-
-
-def _orbit_partition(table, indices=None):
-    """Orbits of the rows' action, as sorted tuples ordered by least element."""
-    if indices is None:
-        indices = range(len(table))
-    return _union_find(indices, ((b, table[a][b]) for a in indices for b in indices))
 
 
 def inn_orbits(r: RackTable) -> tuple:
@@ -43,8 +37,6 @@ def is_homogeneous(r: RackTable) -> bool:
     The canonical search's automorphisms generate the group: no stabilizer chain."""
     if r.n == 0:
         return False
-    from .canonical import _canonical_search
-
     _, _, auts = _canonical_search(r.table)
     points = range(r.n)
     return len(_union_find(points, ((x, g[x]) for g in auts for x in points))) == 1

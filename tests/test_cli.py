@@ -22,7 +22,7 @@ from rackring import (
 )
 from rackring.burnside import MAX_PRODUCT_ORDER, ClassRegistry
 from rackring.cli import main
-from rackring.groups import MAX_CROSSED_GROUP_ORDER
+from rackring.groups import MAX_CROSSED_GROUP_ORDER, crossed_to_rack, is_equivalence, rack_to_crossed
 
 
 def run(capsys, *argv):
@@ -321,6 +321,62 @@ def test_crossed_command(capsys, dih3_file):
     assert lines[0] == "automorphism group order: 6"
     assert lines[1] == "round trip table identical: true"
     assert lines[2] == "round trip equivalent: true"
+
+
+def test_crossed_builds_one_crossed_action(capsys, dih3_file, monkeypatch):
+    from rackring import cli
+
+    built = []
+
+    def counting(table):
+        built.append(table)
+        return rack_to_crossed(table)
+
+    monkeypatch.setattr(cli, "rack_to_crossed", counting)
+    code, _, _ = run(capsys, "crossed", dih3_file)
+    assert code == 0 and len(built) == 1
+
+
+def two_build_crossed_output(table):
+    """The text and JSON output of `crossed` computed with a second crossed
+    action of the round-tripped table and an equivalence check between them."""
+    crossed = rack_to_crossed(table)
+    back = crossed_to_rack(crossed)
+    identical = back == table
+    again = rack_to_crossed(back)
+    equivalent = identical and is_equivalence(
+        list(range(crossed.group.n)), list(range(table.n)), crossed, again
+    )
+    report = {
+        "group_order": crossed.group.n,
+        "round_trip_identical": identical,
+        "round_trip_equivalent": equivalent,
+    }
+    text = (
+        f"automorphism group order: {crossed.group.n}\n"
+        f"round trip table identical: {str(identical).lower()}\n"
+        f"round trip equivalent: {str(equivalent).lower()}\n"
+    )
+    return text, json.dumps(report) + "\n"
+
+
+def assert_crossed_matches_two_builds(capsys, tmp_path, table):
+    path = tmp_path / "crossed.rack"
+    save_rack(table, path)
+    text, report = two_build_crossed_output(table)
+    assert run(capsys, "crossed", str(path)) == (0, text, "")
+    assert run(capsys, "--json", "crossed", str(path)) == (0, report, "")
+
+
+def test_crossed_matches_two_builds_up_to_order_4(capsys, tmp_path, racks_by_order):
+    for n in range(1, 5):
+        for table in racks_by_order[n]:
+            assert_crossed_matches_two_builds(capsys, tmp_path, table)
+
+
+@pytest.mark.parametrize("table", [product(dihedral(3), dihedral(3)), trivial(6)], ids=["d3xd3", "trivial6"])
+def test_crossed_matches_two_builds_on_large_groups(capsys, tmp_path, table):
+    assert_crossed_matches_two_builds(capsys, tmp_path, table)
 
 
 def test_crossed_command_bounds_group_order(capsys, tmp_path):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from rackring import (
@@ -14,6 +16,7 @@ from rackring import (
     crossed_to_rack,
     cycle_rack,
     cyclic_group,
+    dihedral_group,
     diagonal_product_fixed_group,
     dihedral,
     disjoint_union,
@@ -368,3 +371,19 @@ def test_sum_additivity_of_classes(ring, racks_by_order):
             x, y = rack_to_crossed(rx), rack_to_crossed(ry)
             total = ring.of_rack(crossed_to_rack(crossed_sum(x, y)))
             assert total == ring.of_rack(rx) + ring.of_rack(ry)
+
+
+def test_tabulated_groups_match_pinned_digest():
+    """Cayley tables, element orders and the crossed action of d3 x d3, as
+    tabulated before the constructions shared one table builder."""
+    digest = hashlib.sha256()
+    for m in range(1, 5):
+        digest.update(repr(symmetric_group(m).cayley).encode())
+    for order in range(2, 13, 2):
+        digest.update(repr(dihedral_group(order).cayley).encode())
+    for p in (3, 5):
+        group, matrices = special_linear_2(p)
+        digest.update(repr((group.cayley, matrices)).encode())
+    x = rack_to_crossed(product(dihedral(3), dihedral(3)))
+    digest.update(repr((x.group.cayley, [g.images for g in x.action], x.delta)).encode())
+    assert digest.hexdigest() == "d8b478f324c225e4e1e0a7f49874c333ae4544c40cb4d7ed1fecd4171d4f9fee"

@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import permutations, product
 
 import pytest
@@ -156,3 +157,56 @@ def test_degree_zero_group():
 def test_invalid_perm():
     with pytest.raises(ValueError):
         Perm((0, 0, 1))
+
+
+def test_checked_constructors_reject_non_permutations():
+    with pytest.raises(ValueError):
+        Perm([0, 0])
+    with pytest.raises(ValueError):
+        Perm.from_cycles(3, [0, 0])
+    with pytest.raises(ValueError):
+        Perm.from_cycles(3, [0, 1], [1, 2])
+    with pytest.raises(ValueError):
+        Perm.identity(2) * Perm.identity(3)
+
+
+def test_derived_permutations_equal_checked_ones():
+    """Products, inverses, powers and rack rows skip the check; they must
+    still be the permutations the checked constructor builds."""
+    from rackring import RackTable, dihedral, product as rack_product
+
+    rng = random.Random(7)
+    for _ in range(200):
+        n = rng.randint(0, 9)
+        p, q = (Perm(rng.sample(range(n), n)) for _ in range(2))
+        inverse = [0] * n
+        for i, v in enumerate(p.images):
+            inverse[v] = i
+        assert p * q == Perm([p(q(i)) for i in range(n)])
+        assert p.inverse() == Perm(inverse)
+        k = rng.randint(-5, 5)
+        step = p.images if k > 0 else inverse
+        power = Perm(range(n))
+        for _ in range(abs(k)):
+            power = Perm([step[x] for x in power.images])
+        assert p**k == power
+        assert Perm.identity(n) == Perm(range(n))
+        for derived in (p * q, p.inverse(), p**k, Perm.identity(n)):
+            assert type(derived.images) is tuple
+    for r in (dihedral(5), rack_product(dihedral(3), dihedral(3)), RackTable([[1, 0], [1, 0]])):
+        assert r.row_perms() == [Perm(row) for row in r.table]
+        assert all(r.row_perm(a) == Perm(r.table[a]) for a in range(r.n))
+
+
+def test_cycle_lengths_against_orbits():
+    def orbit(images, x):
+        out = {x}
+        while images[x] not in out:
+            x = images[x]
+            out.add(x)
+        return frozenset(out)
+
+    for n in range(7):
+        for images in permutations(range(n)):
+            orbits = {orbit(images, x) for x in range(n)}
+            assert Perm(images).cycle_lengths() == tuple(sorted(map(len, orbits), reverse=True))

@@ -1,3 +1,4 @@
+import os
 from itertools import permutations, product as iproduct
 
 import pytest
@@ -18,6 +19,7 @@ from rackring import (
     parse_rack,
     permutation_rack,
     product,
+    save_rack,
     trivial,
     trivially_acting_part,
     validate_table,
@@ -267,3 +269,18 @@ def test_rack_file_comments_and_errors():
         parse_rack("quandle 2\n0 1\n0 1\n")
     with pytest.raises(InvalidRackError):
         parse_rack("rack 2\n1 0\n0 1\n")
+
+
+def test_save_rack_replaces_atomically(tmp_path, monkeypatch):
+    path = tmp_path / "kept.rack"
+    old = format_rack(cycle_rack(2))
+    path.write_text(old)
+
+    def failing_replace(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        save_rack(dihedral(3), path)
+    assert path.read_text() == old
+    assert os.listdir(tmp_path) == ["kept.rack"]
