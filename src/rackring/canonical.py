@@ -279,5 +279,5 @@ def automorphism_group(r: RackTable) -> PermGroup:
 def automorphisms(r: RackTable) -> list:
     """All structure-preserving permutations, sorted by image tuple."""
     if r.n == 0:
-        return [Perm(())]
+        return [Perm.identity(0)]
     return sorted(automorphism_group(r).elements(), key=lambda p: p.images)

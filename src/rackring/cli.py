@@ -21,6 +21,7 @@ from .burnside import (
 from .canonical import canonical_form, canonical_key, find_isomorphism, table_bytes
 from .enumeration import EnumerationFilter, enumerate_racks
 from .groups import (
+    _check_elements,
     check_coset_pair,
     conjugation_class_quandle,
     conjugation_quandle,
@@ -302,9 +303,7 @@ def cmd_coset_rack(args):
     else:
         group = parse_group(text)
     subgroup = tuple(int(tok) for tok in args.subgroup.split(","))
-    valid, strict = check_coset_pair(group, subgroup, args.mu)
-    if not valid:
-        raise ValueError("invalid pair: some commutator [h, mu] leaves the normal core")
+    _, strict = check_coset_pair(group, subgroup, args.mu)
     table = coset_rack(group, subgroup, args.mu)
     if args.output:
         save_rack(table, args.output)
@@ -325,6 +324,7 @@ def cmd_conj_quandle(args):
         table = conjugation_quandle(group)
     else:
         rep = args.cls
+        _check_elements(group, [rep])
         cls = {group.conj(g, rep) for g in range(group.n)}
         table = conjugation_class_quandle(group, cls)
     if args.output:

@@ -5,6 +5,9 @@ group acting on itself by conjugation; it yields a rack via
 a |> b = delta(a) . b, and conversely every rack arises this way from its
 automorphism group.  Groups stay Cayley tables throughout so that matrix
 groups over small prime fields can be ingested from generator files.
+
+`FinGroup(...)` and `CrossedGSet(...)` check their data where it enters; what
+is built here from checked data is wrapped unchecked (`_wrap`).
 """
 
 from __future__ import annotations
@@ -21,20 +24,15 @@ MAX_CROSSED_GROUP_ORDER = 1000
 
 
 class FinGroup:
-    """A finite group given by its Cayley table; the identity is index 0."""
+    """A finite group given by its Cayley table; the identity is index 0.
+
+    `FinGroup(cayley)` checks the group axioms.  Cyclic groups, tabulated
+    closures and direct products skip it via `_wrap`."""
 
     __slots__ = ("cayley",)
 
-    def __init__(self, cayley, _checked=False):
-        cayley = tuple(tuple(row) for row in cayley)
-        object.__setattr__(self, "cayley", cayley)
-        if not _checked:
-            self._validate()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FinGroup is immutable")
-
-    def _validate(self):
+    def __init__(self, cayley):
+        object.__setattr__(self, "cayley", tuple(tuple(row) for row in cayley))
         n = len(self.cayley)
         for a, row in enumerate(self.cayley):
             if len(row) != n:
@@ -55,6 +53,16 @@ class FinGroup:
                     if self.cayley[ab][c] != self.cayley[a][self.cayley[b][c]]:
                         raise ValueError(f"associativity fails at ({a}, {b}, {c})")
 
+    @classmethod
+    def _wrap(cls, cayley):
+        """Wrap a Cayley table known to be a group's."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "cayley", tuple(tuple(row) for row in cayley))
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FinGroup is immutable")
+
     @property
     def n(self):
         return len(self.cayley)
@@ -66,11 +74,7 @@ class FinGroup:
         return self.cayley[a][b]
 
     def inv(self, a):
-        row = self.cayley[a]
-        for b in range(self.n):
-            if row[b] == 0:
-                return b
-        raise ValueError(f"element {a} has no inverse")
+        return self.cayley[a].index(0)
 
     def conj(self, g, x):
         """g x g^(-1)."""
@@ -82,7 +86,9 @@ class FinGroup:
 
     def subgroup_from(self, gens) -> tuple:
         """Closure of the generators, as a sorted element tuple."""
-        return tuple(sorted(_closure(0, list(gens), self.mul)))
+        gens = list(gens)
+        _check_elements(self, gens)
+        return tuple(sorted(_closure(0, gens, self.mul)))
 
     def is_subgroup(self, elements) -> bool:
         elements = set(elements)
@@ -131,10 +137,15 @@ class FinGroup:
 # -- constructions ----------------------------------------------------------------
 
 
+def _check_elements(group: FinGroup, elements):
+    """Raise ValueError naming the first element that is no index 0..n-1."""
+    for x in elements:
+        if not 0 <= x < group.n:
+            raise ValueError(f"element {x} is not in 0..{group.n - 1}")
+
+
 def cyclic_group(n: int) -> FinGroup:
-    return FinGroup(
-        (tuple((a + b) % n for b in range(n)) for a in range(n)), _checked=True
-    )
+    return FinGroup._wrap(tuple((a + b) % n for b in range(n)) for a in range(n))
 
 
 def _tabulate(elements, mul) -> tuple:
@@ -142,7 +153,7 @@ def _tabulate(elements, mul) -> tuple:
     first) as a Cayley table in that order, and the index of each element."""
     index = {x: i for i, x in enumerate(elements)}
     cayley = [[index[mul(a, b)] for b in elements] for a in elements]
-    return FinGroup(cayley, _checked=True), index
+    return FinGroup._wrap(cayley), index
 
 
 def symmetric_group(m: int) -> FinGroup:
@@ -182,7 +193,7 @@ def dihedral_group(order: int) -> FinGroup:
     if m == 2:
         return direct_product_group(cyclic_group(2), cyclic_group(2))
     rotation = Perm.from_cycles(m, list(range(m)))
-    reflection = Perm(tuple((-i) % m for i in range(m)))
+    reflection = Perm._wrap(tuple((-i) % m for i in range(m)))
     group, _ = group_from_permutations(m, [rotation, reflection])
     return group
 
@@ -211,7 +222,7 @@ def special_linear_2(p: int, generators=None):
 
 def conjugation_quandle(group: FinGroup) -> RackTable:
     """The whole group with g |> h = g h g^(-1)."""
-    return RackTable(
+    return RackTable._wrap(
         tuple(group.conj(g, h) for h in range(group.n)) for g in range(group.n)
     )
 
@@ -219,11 +230,12 @@ def conjugation_quandle(group: FinGroup) -> RackTable:
 def conjugation_class_quandle(group: FinGroup, elements) -> RackTable:
     """A conjugation-closed subset with the conjugation operation."""
     elements = tuple(sorted(set(elements)))
+    _check_elements(group, elements)
     closed = {group.conj(g, x) for g in range(group.n) for x in elements}
     if closed != set(elements):
         raise ValueError("the subset is not closed under conjugation")
     index = {x: i for i, x in enumerate(elements)}
-    return RackTable(
+    return RackTable._wrap(
         tuple(index[group.conj(a, b)] for b in elements) for a in elements
     )
 
@@ -235,6 +247,7 @@ def check_coset_pair(group: FinGroup, subgroup, mu) -> tuple:
     """(valid, strict): the commutator condition, and the stronger
     requirement that mu centralizes the subgroup."""
     subgroup = tuple(subgroup)
+    _check_elements(group, subgroup + (mu,))
     if not group.is_subgroup(subgroup):
         raise ValueError("not a subgroup")
     core = set(group.normal_core(subgroup))
@@ -276,6 +289,9 @@ class CrossedGSet:
     `delta[x]` is a group element with delta(g.x) = g delta(x) g^(-1).
     The acting group is part of the data, so this class also serves as the
     objects of the category of crossed actions over varying groups.
+
+    `CrossedGSet(...)` checks the action and the crossing; the builders below
+    derive actions from checked data and skip it via `_wrap`.
     """
 
     group: FinGroup
@@ -305,6 +321,13 @@ class CrossedGSet:
                 if self.delta[pa(x)] != g.conj(a, self.delta[x]):
                     raise ValueError(f"crossing is not equivariant at ({a}, {x})")
 
+    @classmethod
+    def _wrap(cls, group, size, action, delta):
+        """Wrap a crossed action known to be valid."""
+        self = object.__new__(cls)
+        self.__dict__.update(group=group, size=size, action=action, delta=delta)
+        return self
+
 
 CrossedAction = CrossedGSet
 
@@ -312,17 +335,18 @@ CrossedAction = CrossedGSet
 def transitive_crossed(group: FinGroup, subgroup, a) -> CrossedGSet:
     """Cosets of the subgroup with left translation and crossing gH -> g a g^(-1)."""
     subgroup = tuple(subgroup)
+    _check_elements(group, subgroup + (a,))
     if not group.is_subgroup(subgroup):
         raise ValueError("not a subgroup")
     if any(group.mul(a, h) != group.mul(h, a) for h in subgroup):
         raise ValueError("the crossing element must centralize the subgroup")
     cosets, position = _coset_positions(group, subgroup)
     action = tuple(
-        Perm(position[group.mul(g, coset[0])] for coset in cosets)
+        Perm._wrap(tuple(position[group.mul(g, coset[0])] for coset in cosets))
         for g in range(group.n)
     )
     delta = tuple(group.conj(coset[0], a) for coset in cosets)
-    return CrossedGSet(group, len(cosets), action, delta)
+    return CrossedGSet._wrap(group, len(cosets), action, delta)
 
 
 def transitive_crossed_iso(group: FinGroup, pair1, pair2) -> bool:
@@ -337,7 +361,7 @@ def transitive_crossed_iso(group: FinGroup, pair1, pair2) -> bool:
 
 def crossed_to_rack(x: CrossedGSet) -> RackTable:
     """The rack a |> b = delta(a) . b (validity follows from equivariance)."""
-    return RackTable(x.action[x.delta[a]].images for a in range(x.size))
+    return RackTable._wrap(x.action[x.delta[a]].images for a in range(x.size))
 
 
 def rack_to_crossed(r: RackTable) -> CrossedGSet:
@@ -352,7 +376,7 @@ def rack_to_crossed(r: RackTable) -> CrossedGSet:
     elements = sorted(aut.elements(), key=lambda p: p.images)
     group, index = _tabulate([p.images for p in elements], _compose)
     delta = tuple(index[row] for row in r.table)
-    return CrossedGSet(group, r.n, tuple(elements), delta)
+    return CrossedGSet._wrap(group, r.n, tuple(elements), delta)
 
 
 def direct_product_group(g: FinGroup, h: FinGroup) -> FinGroup:
@@ -363,45 +387,27 @@ def direct_product_group(g: FinGroup, h: FinGroup) -> FinGroup:
         for a in range(g.n)
         for b in range(nh)
     ]
-    return FinGroup(cayley, _checked=True)
+    return FinGroup._wrap(cayley)
 
 
 def crossed_sum(x: CrossedGSet, y: CrossedGSet) -> CrossedGSet:
     """Disjoint union over the product group, crossings (delta, e) and (e, epsilon)."""
     g, h = x.group, y.group
-    gh = direct_product_group(g, h)
-    size = x.size + y.size
-    action = []
-    for a in range(g.n):
-        for b in range(h.n):
-            pa, pb = x.action[a], y.action[b]
-            action.append(Perm(list(pa.images) + [x.size + v for v in pb.images]))
-    delta = tuple(x.delta[p] * h.n for p in range(x.size)) + tuple(
-        y.delta[q] for q in range(y.size)
+    action = tuple(
+        Perm._wrap(pa.images + tuple(x.size + v for v in pb.images))
+        for pa in x.action
+        for pb in y.action
     )
-    return CrossedGSet(gh, size, tuple(action), delta)
+    delta = tuple(d * h.n for d in x.delta) + tuple(y.delta)
+    return CrossedGSet._wrap(direct_product_group(g, h), x.size + y.size, action, delta)
 
 
 def crossed_product(x: CrossedGSet, y: CrossedGSet) -> CrossedGSet:
     """Cartesian product over the product group, crossing (delta, epsilon)."""
     g, h = x.group, y.group
-    gh = direct_product_group(g, h)
-    size = x.size * y.size
-    action = []
-    for a in range(g.n):
-        for b in range(h.n):
-            pa, pb = x.action[a], y.action[b]
-            action.append(
-                Perm(
-                    pa(p) * y.size + pb(q)
-                    for p in range(x.size)
-                    for q in range(y.size)
-                )
-            )
-    delta = tuple(
-        x.delta[p] * h.n + y.delta[q] for p in range(x.size) for q in range(y.size)
-    )
-    return CrossedGSet(gh, size, tuple(action), delta)
+    action = tuple(_pair_action(pa, pb) for pa in x.action for pb in y.action)
+    delta = tuple(d * h.n + e for d in x.delta for e in y.delta)
+    return CrossedGSet._wrap(direct_product_group(g, h), x.size * y.size, action, delta)
 
 
 def diagonal_product_fixed_group(x: CrossedGSet, y: CrossedGSet) -> CrossedGSet:
@@ -409,19 +415,15 @@ def diagonal_product_fixed_group(x: CrossedGSet, y: CrossedGSet) -> CrossedGSet:
     if x.group.cayley != y.group.cayley:
         raise ValueError("both factors must share the same group")
     g = x.group
-    size = x.size * y.size
-    action = tuple(
-        Perm(
-            x.action[a](p) * y.size + y.action[a](q)
-            for p in range(x.size)
-            for q in range(y.size)
-        )
-        for a in range(g.n)
-    )
-    delta = tuple(
-        g.mul(x.delta[p], y.delta[q]) for p in range(x.size) for q in range(y.size)
-    )
-    return CrossedGSet(g, size, action, delta)
+    action = tuple(map(_pair_action, x.action, y.action))
+    delta = tuple(g.mul(d, e) for d in x.delta for e in y.delta)
+    return CrossedGSet._wrap(g, x.size * y.size, action, delta)
+
+
+def _pair_action(pa: Perm, pb: Perm) -> Perm:
+    """pa x pb on pairs, with (p, q) indexed as p * |Y| + q."""
+    ny = pb.degree
+    return Perm._wrap(tuple(u * ny + v for u in pa.images for v in pb.images))
 
 
 def is_equivalence(f, w, x: CrossedGSet, y: CrossedGSet) -> bool:

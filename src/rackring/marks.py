@@ -39,16 +39,18 @@ class MorphismCensus:
 def census(c: RackTable, r: RackTable) -> MorphismCensus:
     """Classify every morphism by injectivity, surjectivity and image class."""
     by_image = {}
+    keys = {}  # image set -> hex key of its class, each keyed once
     inj = sur = 0
     maps = enumerate_morphisms(c, r)
     for f in maps:
-        values = set(f)
+        values = frozenset(f)
         if len(values) == c.n:
             inj += 1
         if len(values) == r.n:
             sur += 1
-        key = canonical_key(r.restrict(sorted(values))).hex()
-        by_image[key] = by_image.get(key, 0) + 1
+        if values not in keys:
+            keys[values] = canonical_key(r.restrict(sorted(values))).hex()
+        by_image[keys[values]] = by_image.get(keys[values], 0) + 1
     return MorphismCensus(len(maps), inj, sur, by_image)
 
 

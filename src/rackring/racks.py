@@ -110,7 +110,7 @@ class RackTable:
 
     def canonical_automorphism(self) -> Perm:
         """The permutation a -> a |> a (trivial exactly for quandles)."""
-        return Perm(self.table[a][a] for a in range(self.n))
+        return Perm._wrap(tuple(self.table[a][a] for a in range(self.n)))
 
     def is_quandle(self):
         return all(self.table[a][a] == a for a in range(self.n))
@@ -118,11 +118,11 @@ class RackTable:
     def untwist(self) -> "RackTable":
         """The quandle on the same set with a |>' b = sigma^(-1)(a |> b)."""
         sigma_inv = self.canonical_automorphism().inverse()
-        return RackTable(tuple(sigma_inv(x) for x in row) for row in self.table)
+        return RackTable._wrap(tuple(sigma_inv(x) for x in row) for row in self.table)
 
     def power(self, k: int) -> "RackTable":
         """The rack with each left multiplication replaced by its k-th power."""
-        return RackTable((p**k).images for p in self.row_perms())
+        return RackTable._wrap((p**k).images for p in self.row_perms())
 
     def relabel(self, p: Perm) -> "RackTable":
         """Transport the structure along p: new[p(a)][p(b)] = p(old[a][b])."""
@@ -314,11 +314,7 @@ def parse_rack(text: str) -> RackTable:
     lineno, n, lines = _read_header(text, "rack", "n", "order")
     if n < 0:
         raise FormatError(f"negative order {n}", lineno)
-    rows = _read_int_rows(lineno, lines, n)
-    report = validate_table(rows)
-    if not report.ok:
-        raise InvalidRackError(f"{report.error}: {report.detail}")
-    return RackTable._wrap(rows)
+    return RackTable(_read_int_rows(lineno, lines, n))
 
 
 def format_rack(r: RackTable) -> str:

@@ -281,6 +281,11 @@ def test_coset_rack_command(capsys, tmp_path):
     # invalid: not a subgroup
     code, _, err = run(capsys, "coset-rack", str(group_file), "--h", "0,1", "--mu", "0")
     assert code == 1
+    # invalid pair: in S3, [t, r] = r for a transposition t and a 3-cycle r
+    group_file.write_text(format_group(symmetric_group(3)))
+    code, out, err = run(capsys, "coset-rack", str(group_file), "--h", "0,1", "--mu", "3")
+    assert (code, out) == (1, "")
+    assert err == "error: invalid pair: some commutator [h, mu] leaves the normal core\n"
 
 
 def test_coset_rack_sl2_file(capsys, tmp_path):
@@ -312,6 +317,27 @@ def test_conj_quandle_command(capsys, tmp_path):
     code, out, _ = run(capsys, "conj-quandle", str(group_file), "--class", str(t))
     assert code == 0
     assert out.splitlines()[0] == "order 3"
+
+
+@pytest.mark.parametrize(
+    "argv, element",
+    [
+        (["coset-rack", "--h", "0", "--mu", "5"], 5),
+        (["coset-rack", "--h", "0", "--mu", "-1"], -1),
+        (["coset-rack", "--h", "0,7", "--mu", "0"], 7),
+        (["conj-quandle", "--class", "9"], 9),
+        (["conj-quandle", "--class", "-1"], -1),
+    ],
+    ids=["mu-5", "mu-minus-1", "h-7", "class-9", "class-minus-1"],
+)
+def test_group_element_indices_are_range_checked(capsys, tmp_path, argv, element):
+    from rackring import cyclic_group
+
+    group_file = tmp_path / "c4.group"
+    group_file.write_text(format_group(cyclic_group(4)))
+    code, out, err = run(capsys, argv[0], str(group_file), *argv[1:])
+    assert (code, out) == (1, "")
+    assert err == f"error: element {element} is not in 0..3\n"
 
 
 def test_crossed_command(capsys, dih3_file):

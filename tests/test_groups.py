@@ -9,6 +9,7 @@ from rackring import (
     RackTable,
     are_isomorphic,
     check_coset_pair,
+    conjugation_class_quandle,
     conjugation_quandle,
     coset_rack,
     crossed_product,
@@ -33,6 +34,7 @@ from rackring import (
     transitive_crossed,
     transitive_crossed_iso,
     trivial,
+    validate_table,
 )
 from rackring import inner_group
 from rackring.groups import MAX_CROSSED_GROUP_ORDER
@@ -83,6 +85,33 @@ def test_conjugation_quandle_decomposes():
     q = conjugation_quandle(sym3())
     assert q.is_quandle()
     assert q.n == 6
+
+
+def test_conjugation_quandles_are_racks():
+    """Both conjugation quandles build their tables unchecked; the rack axioms hold."""
+    for group in (symmetric_group(3), symmetric_group(4), dihedral_group(8)):
+        assert validate_table(conjugation_quandle(group).table).ok
+        for cls in group.conjugacy_classes():
+            assert validate_table(conjugation_class_quandle(group, cls).table).ok
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: g.subgroup_from([-1]),
+        lambda g: check_coset_pair(g, (0,), 5),
+        lambda g: coset_rack(g, (0, 7), 0),
+        lambda g: coset_rack(g, (0,), -1),
+        lambda g: transitive_crossed(g, (0,), -1),
+        lambda g: transitive_crossed(g, (0, 3), 0),
+        lambda g: conjugation_class_quandle(g, [9]),
+    ],
+    ids=["subgroup_from", "check_coset_pair", "coset_rack-h", "coset_rack-mu",
+         "transitive_crossed-a", "transitive_crossed-h", "conjugation_class_quandle"],
+)
+def test_group_element_indices_are_range_checked(call):
+    with pytest.raises(ValueError, match=r"^element -?\d+ is not in 0\.\.2$"):
+        call(cyclic_group(3))
 
 
 def test_coset_rack_validity_conditions():
@@ -350,7 +379,36 @@ def test_crossed_actions_give_valid_racks_over_small_groups():
             ]
             for a in centralizing[:2]:
                 x = transitive_crossed(group, h, a)
-                crossed_to_rack(x)  # RackTable construction validates
+                rack = crossed_to_rack(x)
+                assert validate_table(rack.table).ok
+
+
+def assert_passes_public_checks(x):
+    """The checks a crossed-action builder skips hold for what it built."""
+    CrossedGSet(x.group, x.size, x.action, x.delta)
+    if x.group.n <= 100:
+        FinGroup(x.group.cayley)
+    else:
+        # FinGroup's check is cubic in the order; a faithful action that
+        # passed CrossedGSet's homomorphism check makes the table a group's.
+        assert len(set(x.action)) == x.group.n
+    assert validate_table(crossed_to_rack(x).table).ok
+
+
+def test_crossed_builders_pass_the_public_checks(racks_by_order):
+    singles = [rack_to_crossed(r) for n in range(1, 5) for r in racks_by_order[n]]
+    singles += [rack_to_crossed(product(dihedral(3), dihedral(3))), rack_to_crossed(trivial(6))]
+    g = sym3()
+    transitive = [transitive_crossed(g, g.subgroup_from([h]), a) for h in range(g.n) for a in g.centralizer(h)]
+    small = singles[:9]  # the racks up to order 3
+    built = singles + transitive
+    built += [crossed_sum(x, y) for x in small for y in small]
+    built += [crossed_product(x, y) for x in small for y in small]
+    # without d3 x d3 and trivial(6): their diagonals take seconds to check
+    for sets in (singles[:-2], transitive):
+        built += [diagonal_product_fixed_group(x, y) for x in sets for y in sets if x.group.cayley == y.group.cayley]
+    for x in built:
+        assert_passes_public_checks(x)
 
 
 def test_identity_crossing_gives_trivial_quandles():

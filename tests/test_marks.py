@@ -2,7 +2,9 @@ from itertools import product as iproduct
 
 import pytest
 
+from rackring import marks
 from rackring import (
+    MorphismCensus,
     PresentedQuandle,
     RackTable,
     canonical_key,
@@ -70,6 +72,41 @@ def test_census_examples():
     cen = census(cycle_rack(2), cycle_rack(2))
     assert (cen.mor, cen.inj) == (2, 2)
     assert len(brute_morphisms(cycle_rack(2), cycle_rack(2))) == 2
+
+
+def census_keying_every_morphism(c, r):
+    """Reference: the census as computed when every morphism keyed its image."""
+    by_image = {}
+    inj = sur = 0
+    maps = enumerate_morphisms(c, r)
+    for f in maps:
+        values = set(f)
+        if len(values) == c.n:
+            inj += 1
+        if len(values) == r.n:
+            sur += 1
+        key = canonical_key(r.restrict(sorted(values))).hex()
+        by_image[key] = by_image.get(key, 0) + 1
+    return MorphismCensus(len(maps), inj, sur, by_image)
+
+
+def test_census_matches_keying_every_morphism(racks_by_order):
+    sources = [r for n in range(1, 5) for r in racks_by_order[n]]
+    targets = [r for n in range(5) for r in racks_by_order[n]]
+    pairs = [(c, r) for c in sources for r in targets]
+    pairs.append((dihedral(5), product(dihedral(5), dihedral(5))))
+    for c, r in pairs:
+        cen, ref = census(c, r), census_keying_every_morphism(c, r)
+        assert cen == ref and list(cen.by_image) == list(ref.by_image)
+
+
+def test_census_keys_each_distinct_image_once(monkeypatch):
+    keyed = []
+    monkeypatch.setattr(marks, "canonical_key", lambda t: keyed.append(t) or canonical_key(t))
+    c, r = dihedral(5), product(dihedral(5), dihedral(5))
+    cen = census(c, r)
+    assert cen.mor == 625
+    assert len(keyed) == len({frozenset(f) for f in enumerate_morphisms(c, r)}) == 55
 
 
 def test_mark_requires_connected_source(ring):

@@ -112,6 +112,15 @@ def test_power():
     )
 
 
+def test_untwist_and_powers_are_racks(racks_by_order):
+    """untwist and power build their tables unchecked; the rack axioms hold."""
+    for n in range(5):
+        for r in racks_by_order[n]:
+            assert validate_table(r.untwist().table).ok
+            for k in (-2, -1, 0, 2, 3):
+                assert validate_table(r.power(k).table).ok
+
+
 def test_power_canonical_automorphism_is_iterated(racks_by_order):
     for n in range(5):
         for r in racks_by_order[n]:
