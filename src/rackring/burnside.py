@@ -37,7 +37,7 @@ class ClassRegistry:
     """Registry of connected isomorphism classes with stable integer ids.
 
     A plain in-memory index: ids are assigned in registration order, and
-    `register` is the only code that adds entries.  Processes sharing a
+    `_add` is the only code that adds entries.  Processes sharing a
     workspace are serialized by the workspace's file lock, not here.
     """
 
@@ -60,7 +60,10 @@ class ClassRegistry:
             return entry.id
         if not is_connected(form):
             raise ValueError("only connected classes may be registered")
-        entry = ClassEntry(len(self._by_id), key, form.n, form, form.is_quandle())
+        return self._add(key, form)
+
+    def _add(self, key: bytes, table: RackTable) -> int:
+        entry = ClassEntry(len(self._by_id), key, table.n, table, table.is_quandle())
         self._by_id.append(entry)
         self._by_key[key] = entry
         return entry.id
@@ -77,16 +80,18 @@ class ClassRegistry:
     def merge_entry(self, class_id: int, key: bytes):
         """Install a stored entry under its stored id (registry file loading).
 
-        The key is decoded and registered like any new class, so it must be
-        the canonical key of a connected rack that is not registered yet.
+        The checks need no canonical search: ids are contiguous, the key
+        decodes to a connected rack, and no earlier entry has the same key.
+        Whether the key is canonical is checked by `rackring registry --check`.
         """
         if class_id != len(self._by_id):
             raise ValueError(f"ids must be contiguous; expected {len(self._by_id)}, got {class_id}")
-        registered = self.register(key_table(key))
-        if registered != class_id:
-            raise ValueError(f"duplicate of class {registered}")
-        if self._by_id[class_id].key != key:
-            raise ValueError("stored key does not match its representative")
+        table = key_table(key)
+        if not is_connected(table):
+            raise ValueError("only connected classes may be registered")
+        if key in self._by_key:
+            raise ValueError(f"duplicate of class {self._by_key[key].id}")
+        self._add(key, table)
 
 
 class BurnsideElement(SparseVector):

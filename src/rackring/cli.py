@@ -69,7 +69,9 @@ class Workspace:
             fcntl.flock(fd, fcntl.LOCK_UN)
             os.close(fd)
 
-    def load_ring(self) -> BurnsideRing:
+    def load_ring(self, check_keys=False) -> BurnsideRing:
+        """Read the registry and products memo, trusting that stored keys are
+        canonical unless `check_keys` asks for a canonical search per key."""
         registry = ClassRegistry()
         ring = BurnsideRing(registry)
         if os.path.exists(self.registry_file):
@@ -91,6 +93,8 @@ class Workspace:
                 # the line must read as save_ring writes it, up to number and hex spelling
                 if _registry_line(registry.entry(class_id)) != f"{class_id} {order} {parts[2]} {key.hex()}":
                     raise FormatError(f"corrupt registry entry {line!r}", lineno)
+                if check_keys and canonical_key(registry.entry(class_id).table) != key:
+                    raise FormatError("key is not the canonical key of its rack", lineno)
         if os.path.exists(self.products_file):
             with open(self.products_file, encoding="utf-8") as fh:
                 text = fh.read()
@@ -357,7 +361,7 @@ def cmd_registry(args):
     ring = BurnsideRing()  # listing a missing workspace creates nothing
     if os.path.exists(workspace.path):
         with workspace.lock(shared=True):
-            ring = workspace.load_ring()
+            ring = workspace.load_ring(check_keys=args.check)
     entries = ring.registry.entries()
     report = {
         "entries": [
@@ -450,6 +454,7 @@ def build_parser():
     p.set_defaults(func=cmd_crossed)
 
     p = sub.add_parser("registry", help="list the workspace registry")
+    p.add_argument("--check", action="store_true", help="also check that every stored key is canonical")
     p.set_defaults(func=cmd_registry)
 
     return parser

@@ -46,12 +46,21 @@ class FinGroup:
         for a in range(n):
             if all(self.cayley[a][b] != 0 for b in range(n)):
                 raise ValueError(f"element {a} has no inverse")
-        for a in range(n):
-            for b in range(n):
-                ab = self.cayley[a][b]
-                for c in range(n):
-                    if self.cayley[ab][c] != self.cayley[a][self.cayley[b][c]]:
-                        raise ValueError(f"associativity fails at ({a}, {b}, {c})")
+        # Light's test: the b with (a.b).c == a.(b.c) for all a, c include 0
+        # and are closed under the product, so it is enough to test generators
+        # whose right multiplications reach every element from 0.
+        rows, gens, reached = self.cayley, [], {0}
+        for b in range(n):
+            if b in reached:
+                continue
+            row_b = rows[b]
+            for a, row_a in enumerate(rows):
+                row_ab = rows[row_a[b]]
+                if row_ab != tuple(map(row_a.__getitem__, row_b)):
+                    c = next(c for c in range(n) if row_ab[c] != row_a[row_b[c]])
+                    raise ValueError(f"associativity fails at ({a}, {b}, {c})")
+            gens.append(b)
+            reached = set(_closure(0, gens, self.mul))
 
     @classmethod
     def _wrap(cls, cayley):

@@ -159,6 +159,8 @@ def test_burnside_and_registry_reuse(capsys, tmp_path, workspace):
 
 
 def test_corrupt_registry_reports_line(capsys, tmp_path, workspace, dih3_file):
+    from rackring import canonical_key
+
     run(capsys, "--workspace", workspace, "burnside", dih3_file)
     registry_file = os.path.join(workspace, "registry.txt")
     with open(registry_file, "a", encoding="utf-8") as fh:
@@ -172,6 +174,7 @@ def test_corrupt_registry_reports_line(capsys, tmp_path, workspace, dih3_file):
     cases = {
         "truncated key": f"{good}\n1 3 cq 0000000300\n",
         "duplicate key": f"{good}\n1 {order} {flags} {key}\n",
+        "disconnected rack": f"{good}\n1 2 cq {canonical_key(trivial(2)).hex()}\n",
     }
     for name, text in cases.items():
         with open(registry_file, "w", encoding="utf-8") as fh:

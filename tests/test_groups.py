@@ -1,4 +1,5 @@
 import hashlib
+import time
 
 import pytest
 
@@ -55,6 +56,65 @@ def test_group_validation():
         FinGroup([[1, 0], [0, 1]])  # identity not at index 0
     with pytest.raises(ValueError):
         FinGroup([[0, 1, 2], [1, 2, 0], [2, 1, 0]])  # not associative / not a group
+
+
+def cubic_associativity_failure(cayley):
+    """The first (a, b, c) with (a.b).c != a.(b.c), found by trying all |G|^3
+    triples: the constructor's check before it used Light's test."""
+    n = len(cayley)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if cayley[cayley[a][b]][c] != cayley[a][cayley[b][c]]:
+                    return a, b, c
+    return None
+
+
+def assert_associativity_verdict_matches_cubic(cayley):
+    expected = cubic_associativity_failure(cayley)
+    try:
+        FinGroup(cayley)
+    except ValueError as exc:
+        assert expected is not None, str(exc)
+        a, b, c = map(int, str(exc).removeprefix("associativity fails at (").removesuffix(")").split(", "))
+        assert cayley[cayley[a][b]][c] != cayley[a][cayley[b][c]]
+    else:
+        assert expected is None
+
+
+def test_associativity_check_matches_cubic_check():
+    groups = [symmetric_group(m) for m in range(1, 5)]
+    groups += [dihedral_group(order) for order in range(2, 13, 2)]
+    groups += [special_linear_2(p)[0] for p in (3, 5)]
+    for group in groups:
+        assert_associativity_verdict_matches_cubic(group.cayley)
+    # a loop of order 5 with identity 0 in which every element is its own
+    # inverse; no group of order 5 is like that
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    assert cubic_associativity_failure(loop) is not None
+    assert_associativity_verdict_matches_cubic(loop)
+    # Z2 x loop, with (z, l) at index 2l + z: element 1 = (1, 0) associates
+    # in the middle, so only a later generator shows the failure
+    z2_loop = [[2 * loop[i // 2][j // 2] + (i + j) % 2 for j in range(10)] for i in range(10)]
+    assert_associativity_verdict_matches_cubic(z2_loop)
+    # swapping two entries of a row of a small group keeps the identity and
+    # the inverses but may break associativity
+    for group in (g for g in groups if g.n <= 8):
+        n = group.n
+        for a in range(1, n):
+            for b in range(1, n):
+                for c in range(b + 1, n):
+                    table = [list(row) for row in group.cayley]
+                    table[a][b], table[a][c] = table[a][c], table[a][b]
+                    assert_associativity_verdict_matches_cubic(table)
+
+
+def test_group_check_of_a_large_group_is_fast():
+    cayley = rack_to_crossed(product(dihedral(3), dihedral(3))).group.cayley
+    assert len(cayley) == 432
+    start = time.process_time()
+    FinGroup(cayley)
+    assert time.process_time() - start < 1.0
 
 
 def test_subgroup_and_centralizer():

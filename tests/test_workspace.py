@@ -1,0 +1,141 @@
+"""Workspace loading: structural checks at load, canonical checks on demand."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import rackring
+from rackring import Perm, canonical_key, cycle_rack, dihedral, product, save_rack
+from rackring import canonical
+from rackring.burnside import BurnsideElement, BurnsideRing, ClassRegistry
+from rackring.canonical import key_table, table_bytes
+from rackring.cli import Workspace, _registry_line, main
+from rackring.enumeration import EnumerationFilter, enumerate_racks
+from rackring.racks import _significant_lines
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def recanonicalising_load(path):
+    """The workspace loader as it was before loads became structural: every
+    stored key is registered again, which runs one canonical search per class."""
+    registry = ClassRegistry()
+    ring = BurnsideRing(registry)
+    for _, line in _significant_lines(Path(path, "registry.txt").read_text()):
+        class_id, _, _, key_hex = line.split()
+        key = bytes.fromhex(key_hex)
+        assert registry.register(key_table(key)) == int(class_id)
+        assert registry.entry(int(class_id)).key == key
+        assert _registry_line(registry.entry(int(class_id))) == line
+    for _, line in _significant_lines(Path(path, "products.txt").read_text()):
+        tokens = line.split()
+        left, right, *terms = (registry.by_key(bytes.fromhex(tok)).id for tok in tokens[:2] + tokens[4::2])
+        coeffs = [int(tok) for tok in tokens[3::2]]
+        ring.product_memo[(min(left, right), max(left, right))] = BurnsideElement(zip(terms, coeffs))
+    return ring
+
+
+@pytest.fixture()
+def populated(capsys, tmp_path):
+    """A workspace built through the CLI from the connected racks up to order
+    6, three products, and the memoised products of a `mul`."""
+    workspace = str(tmp_path / "data")
+    connected = [r for n in range(1, 7) for r in enumerate_racks(EnumerationFilter(n, connected_only=True))]
+    racks = [r.relabel(Perm(tuple(reversed(range(r.n))))) for r in connected]
+    racks += [product(dihedral(3), dihedral(3)), product(dihedral(3), dihedral(5)), product(dihedral(5), cycle_rack(3))]
+    for i, rack in enumerate(racks):
+        path = tmp_path / f"{i}.rack"
+        save_rack(rack, path)
+        assert run(capsys, "--workspace", workspace, "burnside", str(path))[0] == 0
+    x, y = tmp_path / "x.elem", tmp_path / "y.elem"
+    x.write_text(f"1 {canonical_key(dihedral(3)).hex()}\n2 {canonical_key(cycle_rack(3)).hex()}\n")
+    y.write_text(f"1 {canonical_key(dihedral(3)).hex()}\n1 {canonical_key(dihedral(5)).hex()}\n")
+    assert run(capsys, "--workspace", workspace, "mul", str(x), str(y))[0] == 0
+    return workspace
+
+
+def test_structural_load_matches_recanonicalising_load(populated):
+    ring = Workspace(populated).load_ring()
+    reference = recanonicalising_load(populated)
+    assert len(ring.registry) == len(reference.registry) == 18
+    for entry, expected in zip(ring.registry, reference.registry):
+        assert (entry.id, entry.key, entry.order, entry.quandle) == (
+            expected.id, expected.key, expected.order, expected.quandle,
+        )
+        assert entry.table == expected.table
+    assert len(ring.product_memo) == 4
+    assert ring.product_memo == reference.product_memo
+
+
+def test_plain_load_runs_no_canonical_search(capsys, monkeypatch, populated):
+    class Searched(Exception):
+        pass
+
+    def search(table):
+        raise Searched
+
+    monkeypatch.setattr(canonical, "_canonical_search", search)
+    ring = Workspace(populated).load_ring()
+    assert len(ring.registry) == 18
+    assert run(capsys, "--workspace", populated, "registry")[0] == 0
+    with pytest.raises(Searched):
+        main(["--workspace", populated, "registry", "--check"])
+
+
+def test_registry_check_matches_plain_listing(capsys, populated):
+    for extra in ([], ["--json"]):
+        plain = run(capsys, "--workspace", populated, *extra, "registry")
+        checked = run(capsys, "--workspace", populated, *extra, "registry", "--check")
+        assert plain[0] == 0 and checked == plain
+
+
+def test_registry_check_names_a_non_canonical_key(capsys, tmp_path):
+    workspace = str(tmp_path / "data")
+    path = tmp_path / "d3.rack"
+    save_rack(dihedral(3), path)
+    run(capsys, "--workspace", workspace, "burnside", str(path))
+    relabelled = table_bytes(key_table(canonical_key(dihedral(5))).relabel(Perm((1, 2, 3, 4, 0))))
+    assert relabelled != canonical_key(dihedral(5))
+    registry_file = Path(workspace, "registry.txt")
+    text = registry_file.read_text() + f"1 5 cq {relabelled.hex()}\n"
+    registry_file.write_text(text)
+
+    code, out, _ = run(capsys, "--workspace", workspace, "registry")
+    assert code == 0 and out.splitlines()[1] == f"1 5 cq {relabelled.hex()}"
+    code, out, err = run(capsys, "--workspace", workspace, "registry", "--check")
+    assert code == 1 and out == ""
+    assert err.startswith("error: line 2: ") and "Traceback" not in err
+    assert registry_file.read_text() == text
+
+
+def test_concurrent_burnside_processes_get_stable_ids(tmp_path):
+    workspace = str(tmp_path / "data")
+    files = []
+    for name, rack in (("d3", dihedral(3)), ("d5", dihedral(5))):
+        save_rack(rack, tmp_path / f"{name}.rack")
+        files.append(str(tmp_path / f"{name}.rack"))
+    env = dict(os.environ, PYTHONPATH=str(Path(rackring.__file__).parents[1]))
+    argv = [sys.executable, "-m", "rackring.cli", "--workspace", workspace, "burnside"]
+
+    def burnside_in_parallel():
+        procs = [subprocess.Popen([*argv, f], env=env, stdout=subprocess.PIPE) for f in files]
+        return [(proc.communicate()[0], proc.returncode) for proc in procs]
+
+    first = burnside_in_parallel()
+    assert [code for _, code in first] == [0, 0]
+    registry_file = Path(workspace, "registry.txt")
+    listing = registry_file.read_text()
+    ids_and_keys = sorted(line.split()[::3] for line in listing.splitlines())
+    expected = {canonical_key(dihedral(3)).hex(), canonical_key(dihedral(5)).hex()}
+    assert [i for i, _ in ids_and_keys] == ["0", "1"] and {k for _, k in ids_and_keys} == expected
+
+    assert burnside_in_parallel() == first
+    assert registry_file.read_text() == listing
+
