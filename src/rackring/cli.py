@@ -33,7 +33,7 @@ from .groups import (
 )
 from .marks import census, colorings, parse_presentation
 from .racks import FormatError, InvalidRackError, RackTable, _significant_lines, _write_text, parse_rack, save_rack
-from .structure import connected_parts, depth, inn_orbits, is_connected, is_homogeneous, is_irreducible, profile
+from .structure import connected_parts, depth, inn_orbits, is_connected, is_irreducible, profile
 
 DEFAULT_WORKSPACE = "./rackring-data"
 WORKSPACE_ENV = "RACKRING_WORKSPACE"
@@ -44,6 +44,8 @@ class Workspace:
 
     def __init__(self, path):
         self.path = path
+        # index file -> entries load_ring read from it
+        self.loaded = {}
 
     @property
     def registry_file(self):
@@ -95,6 +97,7 @@ class Workspace:
                     raise FormatError(f"corrupt registry entry {line!r}", lineno)
                 if check_keys and canonical_key(registry.entry(class_id).table) != key:
                     raise FormatError("key is not the canonical key of its rack", lineno)
+            self.loaded[self.registry_file] = len(registry)
         if os.path.exists(self.products_file):
             with open(self.products_file, encoding="utf-8") as fh:
                 text = fh.read()
@@ -112,24 +115,29 @@ class Workspace:
                 left, right, *terms = (entry.id for entry in entries)
                 pair = (left, right) if left <= right else (right, left)
                 ring.product_memo[pair] = BurnsideElement(zip(terms, coeffs))
+            self.loaded[self.products_file] = len(ring.product_memo)
         return ring
 
     def save_ring(self, ring: BurnsideRing):
         """Replace the registry, then the products memo, then add missing
         sidecars.  Each file is replaced atomically, so after a crash every
-        product key and every sidecar names a class of the registry on disk."""
+        product key and every sidecar names a class of the registry on disk.
+        Entries are only ever added, so a file holding as many entries as
+        `load_ring` read from it is left as it is."""
         os.makedirs(self.tables_dir, exist_ok=True)
         registry = ring.registry
-        lines = [_registry_line(e) for e in registry.entries()]
-        _write_text(self.registry_file, "\n".join(lines) + ("\n" if lines else ""))
-        memo_lines = []
-        for (i, j), element in sorted(ring.product_memo.items()):
-            tokens = [registry.entry(i).key.hex(), registry.entry(j).key.hex(), "="]
-            for k in sorted(element):
-                tokens.append(str(element[k]))
-                tokens.append(registry.entry(k).key.hex())
-            memo_lines.append(" ".join(tokens))
-        _write_text(self.products_file, "\n".join(memo_lines) + ("\n" if memo_lines else ""))
+        if self.loaded.get(self.registry_file) != len(registry):
+            lines = [_registry_line(e) for e in registry.entries()]
+            _write_text(self.registry_file, "\n".join(lines) + ("\n" if lines else ""))
+        if self.loaded.get(self.products_file) != len(ring.product_memo):
+            memo_lines = []
+            for (i, j), element in sorted(ring.product_memo.items()):
+                tokens = [registry.entry(i).key.hex(), registry.entry(j).key.hex(), "="]
+                for k in sorted(element):
+                    tokens.append(str(element[k]))
+                    tokens.append(registry.entry(k).key.hex())
+                memo_lines.append(" ".join(tokens))
+            _write_text(self.products_file, "\n".join(memo_lines) + ("\n" if memo_lines else ""))
         for entry in registry.entries():
             # sidecars are named by id: full keys outgrow filename limits
             table_path = os.path.join(self.tables_dir, f"{entry.id}.rack")
@@ -175,8 +183,10 @@ def cmd_validate(args):
 
 def cmd_analyze(args):
     table = _load_rack_file(args.file)
-    homogeneous = is_homogeneous(table) if table.n else False
-    prof = _cycle_factors(profile(table)) if homogeneous else "-"
+    try:
+        homogeneous, prof = True, _cycle_factors(profile(table))
+    except ValueError:  # only a homogeneous rack has a profile, and the empty one is not homogeneous
+        homogeneous, prof = False, "-"
     report = {
         "order": table.n,
         "quandle": table.is_quandle(),

@@ -23,7 +23,7 @@ from itertools import permutations, product
 
 from .canonical import canonical_form, table_bytes
 from .perms import _cycle_lengths, _cycles, _invert
-from .racks import RackTable, _orbit_partition
+from .racks import RackTable, _distributivity_failure, _orbit_partition
 
 DEFAULT_QUANDLE_BOUND = 8
 DEFAULT_RACK_BOUND = 6
@@ -129,6 +129,10 @@ class _RowSearch:
     """Row-by-row search for every rack table matching a filter, up to
     isomorphism: `emit` receives at least one table of each class.
 
+    Propagation fills a |> b for every assigned pair, so after each
+    successful `_try_assign` the assigned indices are closed under |>.  Each
+    row, a bijection, maps that set onto itself, so no free row is pinned.
+
     `_branch` carries `group`, the permutations other than the identity that
     fix every assigned index and commute with every assigned row, each with
     its inverse.  Relabelling a completion by such a c keeps the assigned
@@ -145,27 +149,18 @@ class _RowSearch:
         self.emit = emit
         self.rng = rng
         self.identity = tuple(range(n))
-        perms = list(permutations(range(n)))
-        # rank k is the k-th largest cycle type
-        lengths = [_cycle_lengths(p) for p in perms]
-        types = sorted(set(lengths), reverse=True)
-        rank = {t: k for k, t in enumerate(types)}
-        self.rank_of = {p: rank[t] for p, t in zip(perms, lengths)}
-        self.type_count = len(types)
-        self.cands = []
-        for i in range(n):
-            by_rank = [[] for _ in types]
-            for p in perms:
-                if self.quandle_only and p[i] != i:
-                    continue
-                by_rank[self.rank_of[p]].append(p)
-            self.cands.append(by_rank)
+        # cands[i][t]: the rows admissible at index i of cycle type t, largest t first
+        self.cands = [{t: [] for t in _partitions(n)} for _ in range(n)]
+        for p in permutations(range(n)):
+            t = _cycle_lengths(p)
+            for i in range(n):
+                if not self.quandle_only or p[i] == i:
+                    self.cands[i][t].append(p)
         self.rows = [None] * n
         self.invs = [None] * n
-        self.rank_at = [None] * n
+        self.type_at = [None] * n
         self.assigned = []
-        self.ranks = None
-        self.admitted = None
+        self.types = None
 
     def run(self):
         if self.n == 0:
@@ -175,37 +170,31 @@ class _RowSearch:
         if self.rng is not None:
             self.rng.shuffle(roots)
         for root in roots:
-            root_rank = self.rank_of[root]
-            if self.connected_only:
-                self.ranks = [root_rank]
-            else:
-                self.ranks = list(range(root_rank, self.type_count))
-            self.admitted = [k in self.ranks for k in range(self.type_count)]
-            trail = self._try_assign(0, root)
+            root_type = _cycle_lengths(root)
+            self.types = [root_type] if self.connected_only else [t for t in self.cands[0] if t <= root_type]
+            trail = self._try_assign(0, root, root_type)
             if trail is not None:
                 self._branch(_centralizer_fixing(root, 0))
                 self._rollback(trail)
 
-    def _try_assign(self, index, row):
-        """Assign a row and propagate conjugation constraints; None on conflict.
+    def _try_assign(self, index, row, shape):
+        """Assign `row`, of cycle type `shape`, and propagate conjugation
+        constraints; None on conflict.
 
-        A propagated row is a conjugate of an admitted row, so it has an
-        admitted cycle type and, in a quandle, fixes its own index; only
-        `row` itself is checked for both.  A constraint on an assigned index
-        is checked at once, and a cycle type unlike the row already there
-        rejects it before the conjugate is built; a constraint on a free
-        index waits in the queue.
+        `row` comes from the root layouts or the candidate lists, and a
+        propagated row is a conjugate of an admitted row, so every row has an
+        admitted cycle type and, in a quandle, fixes its own index.  A
+        constraint on an assigned index is checked at once, and a cycle type
+        unlike the row already there rejects it before the conjugate is
+        built; a constraint on a free index waits in the queue.
         """
-        rows, invs, ranks = self.rows, self.invs, self.rank_at
-        rank = self.rank_of[row]
-        if (self.quandle_only and row[index] != index) or not self.admitted[rank]:
-            return None
+        rows, invs, type_at = self.rows, self.invs, self.type_at
         trail = []
-        # (index, p, r, p^-1, rank of r): the row at index is p.r.p^-1
+        # (index, p, r, p^-1, cycle type of r): the row at index is p.r.p^-1
         identity = self.identity
-        queue = [(index, identity, row, identity, rank)]
+        queue = [(index, identity, row, identity, shape)]
         while queue:
-            i, p, r, pi, rank = queue.pop()
+            i, p, r, pi, shape = queue.pop()
             q = tuple(map(p.__getitem__, map(r.__getitem__, pi)))
             if rows[i] is not None:
                 if rows[i] != q:
@@ -214,21 +203,21 @@ class _RowSearch:
                 continue
             rows[i] = q
             invs[i] = qi = _invert(q)
-            ranks[i] = rank
+            type_at[i] = shape
             self.assigned.append(i)
             trail.append(i)
             for a in self.assigned:
                 ra, ia = rows[a], invs[a]
                 j = q[a]
                 if rows[j] is None:
-                    queue.append((j, q, ra, qi, ranks[a]))
-                elif ranks[j] != ranks[a] or rows[j] != tuple(map(q.__getitem__, map(ra.__getitem__, qi))):
+                    queue.append((j, q, ra, qi, type_at[a]))
+                elif type_at[j] != type_at[a] or rows[j] != tuple(map(q.__getitem__, map(ra.__getitem__, qi))):
                     self._rollback(trail)
                     return None
                 j = ra[i]
                 if rows[j] is None:
-                    queue.append((j, ra, q, ia, rank))
-                elif ranks[j] != rank or rows[j] != tuple(map(ra.__getitem__, map(q.__getitem__, ia))):
+                    queue.append((j, ra, q, ia, shape))
+                elif type_at[j] != shape or rows[j] != tuple(map(ra.__getitem__, map(q.__getitem__, ia))):
                     self._rollback(trail)
                     return None
         return trail
@@ -246,32 +235,14 @@ class _RowSearch:
             return
         free = [i for i in range(self.n) if rows[i] is None]
         index = free[0] if self.rng is None else self.rng.choice(free)
-        pinned = None
-        for a in self.assigned:
-            c = rows[a][index]
-            if rows[c] is not None:
-                ia = self.invs[a]
-                q = tuple(map(ia.__getitem__, map(rows[c].__getitem__, rows[a])))
-                if pinned is None:
-                    pinned = q
-                elif pinned != q:
-                    return
-        if pinned is not None:
-            # The pinned index and row come from the assigned ones by
-            # conjugation, so the group fixes and commutes with them already.
-            trail = self._try_assign(index, pinned)
-            if trail is not None:
-                self._branch(group)
-                self._rollback(trail)
-            return
         group = [g for g in group if g[0][index] == index]
-        by_rank = self.cands[index]
-        ranks = self.ranks
+        by_type = self.cands[index]
+        types = self.types
         if self.rng is not None:
-            ranks = list(ranks)
-            self.rng.shuffle(ranks)
-        for k in ranks:
-            cands = by_rank[k]
+            types = list(types)
+            self.rng.shuffle(types)
+        for t in types:
+            cands = by_type[t]
             if self.rng is not None:
                 cands = list(cands)
                 self.rng.shuffle(cands)
@@ -288,23 +259,18 @@ class _RowSearch:
                     if conj == q:
                         stabilizer.append(g)
                 else:
-                    trail = self._try_assign(index, q)
+                    trail = self._try_assign(index, q, t)
                     if trail is not None:
                         self._branch(stabilizer)
                         self._rollback(trail)
 
 
-def _bound_for(filt: EnumerationFilter, bound):
-    if bound is not None:
-        return bound
-    return DEFAULT_QUANDLE_BOUND if filt.quandle_only else DEFAULT_RACK_BOUND
-
-
 def enumerate_racks(filt: EnumerationFilter, *, bound=None, rng=None):
     """Canonical representatives of all classes matching the filter, by key."""
-    limit = _bound_for(filt, bound)
-    if filt.order > limit:
-        raise ValueError(f"order {filt.order} exceeds the configured bound {limit}")
+    if bound is None:
+        bound = DEFAULT_QUANDLE_BOUND if filt.quandle_only else DEFAULT_RACK_BOUND
+    if filt.order > bound:
+        raise ValueError(f"order {filt.order} exceeds the configured bound {bound}")
     found = {}
 
     def emit(rows):
@@ -334,19 +300,6 @@ def populate_registry(filt: EnumerationFilter, registry, **kw) -> int:
 # -- naive oracle ---------------------------------------------------------------
 
 
-def _self_distributive(rows):
-    n = len(rows)
-    for a in range(n):
-        ra = rows[a]
-        for b in range(n):
-            rab = rows[ra[b]]
-            rb = rows[b]
-            for c in range(n):
-                if ra[rb[c]] != rab[ra[c]]:
-                    return False
-    return True
-
-
 def _iso_naive(t1, t2, perms):
     n = len(t1)
     for p in perms:
@@ -362,12 +315,10 @@ def enumerate_racks_naive(filt: EnumerationFilter):
     if n > NAIVE_BOUND:
         raise ValueError(f"naive oracle is limited to order {NAIVE_BOUND}")
     perms = list(permutations(range(n)))
-    rowsets = []
-    for a in range(n):
-        rowsets.append([p for p in perms if p[a] == a] if filt.quandle_only else perms)
+    rowsets = [[p for p in perms if p[a] == a] if filt.quandle_only else perms for a in range(n)]
     reps = []
     for combo in product(*rowsets):
-        if not _self_distributive(combo):
+        if _distributivity_failure(combo) is not None:
             continue
         if any(_iso_naive(combo, rep, perms) for rep in reps):
             continue

@@ -51,6 +51,19 @@ def validate_table(rows) -> ValidationReport:
     for a, row in enumerate(rows):
         if len(set(row)) != n:
             return ValidationReport(False, "row-not-bijective", f"row {a} = {list(row)} is not a bijection", (a,))
+    failure = _distributivity_failure(rows)
+    if failure is not None:
+        a, b, c = failure
+        ra = rows[a]
+        detail = f"{a}|>({b}|>{c}) = {ra[rows[b][c]]} but ({a}|>{b})|>({a}|>{c}) = {rows[ra[b]][ra[c]]}"
+        return ValidationReport(False, "not-self-distributive", detail, (a, b, c))
+    return ValidationReport(True)
+
+
+def _distributivity_failure(rows):
+    """The first (a, b, c) with a |> (b |> c) != (a |> b) |> (a |> c), or None
+    when the bijective rows form a rack."""
+    n = len(rows)
     for a in range(n):
         ra = rows[a]
         for b in range(n):
@@ -58,13 +71,8 @@ def validate_table(rows) -> ValidationReport:
             rb = rows[b]
             for c in range(n):
                 if ra[rb[c]] != rab[ra[c]]:
-                    return ValidationReport(
-                        False,
-                        "not-self-distributive",
-                        f"{a}|>({b}|>{c}) = {ra[rb[c]]} but ({a}|>{b})|>({a}|>{c}) = {rab[ra[c]]}",
-                        (a, b, c),
-                    )
-    return ValidationReport(True)
+                    return a, b, c
+    return None
 
 
 class RackTable:

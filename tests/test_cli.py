@@ -97,6 +97,33 @@ def test_analyze_json(capsys, dih3_file):
     assert report["orbit_sizes"] == [3]
 
 
+def test_analyze_runs_one_automorphism_search(capsys, monkeypatch, dih3_file):
+    from rackring import structure
+
+    calls = []
+    search = structure._canonical_search
+
+    def counted(table):
+        calls.append(table)
+        return search(table)
+
+    monkeypatch.setattr(structure, "_canonical_search", counted)
+    code, out, _ = run(capsys, "analyze", dih3_file)
+    assert code == 0 and "homogeneous: true" in out.splitlines()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "table", [permutation_rack(Perm.from_cycles(3, [0, 1])), trivial(0)], ids=["lopsided", "empty"]
+)
+def test_analyze_without_profile(capsys, tmp_path, table):
+    path = tmp_path / "r.rack"
+    save_rack(table, path)
+    code, out, _ = run(capsys, "analyze", str(path))
+    assert code == 0
+    assert {"homogeneous: false", "profile: -"} <= set(out.splitlines())
+
+
 def test_canon_deterministic(capsys, tmp_path, dih3_file):
     relabeled = tmp_path / "relabeled.rack"
     save_rack(dihedral(3).relabel(Perm.from_cycles(3, [0, 2, 1])), relabeled)
@@ -512,6 +539,38 @@ def test_products_persist(capsys, tmp_path, workspace, dih3_file):
     code, _, err = run(capsys, "--workspace", workspace, "registry")
     assert code == 1
     assert err.startswith(f"error: line {len(first.splitlines()) + 1}: ")
+
+
+def test_unchanged_index_files_are_not_rewritten(capsys, tmp_path, workspace, dih3_file):
+    files = [os.path.join(workspace, name) for name in ("registry.txt", "products.txt")]
+
+    def inodes():
+        # the atomic writer renames a fresh file into place, so a rewrite
+        # shows as a new inode
+        return [os.stat(path).st_ino for path in files]
+
+    assert run(capsys, "--workspace", workspace, "burnside", dih3_file)[0] == 0
+    first = inodes()
+    assert run(capsys, "--workspace", workspace, "burnside", dih3_file)[0] == 0
+    assert inodes() == first
+
+    from rackring import canonical_key
+
+    element_file = tmp_path / "x.elem"
+    element_file.write_text(f"1 {canonical_key(dihedral(3)).hex()}\n")
+    argv = ["--workspace", workspace, "mul", str(element_file), str(element_file)]
+    assert run(capsys, *argv)[0] == 0
+    multiplied = inodes()
+    assert multiplied[0] != first[0] and multiplied[1] != first[1]
+    assert run(capsys, *argv)[0] == 0
+    assert inodes() == multiplied
+
+    other = tmp_path / "c3.rack"
+    save_rack(cycle_rack(3), other)
+    assert run(capsys, "--workspace", workspace, "burnside", str(other))[0] == 0
+    added = inodes()
+    assert added[0] != multiplied[0] and added[1] == multiplied[1]
+    assert len(open(files[0]).read().splitlines()) == 3
 
 
 def test_failed_save_keeps_workspace(capsys, monkeypatch, tmp_path, workspace, dih3_file):

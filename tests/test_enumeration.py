@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import permutations
 from itertools import product as iproduct
@@ -130,6 +131,10 @@ def emitted(filt):
     return tables
 
 
+def digest(tables):
+    return hashlib.sha256(repr(tables).encode()).hexdigest()[:16]
+
+
 def test_symmetry_pruning_emits_fewer_tables():
     # fixing only row 0 emits 1405 tables for the 298 quandles of order 7
     # and 917 for the 353 racks of order 6
@@ -138,6 +143,39 @@ def test_symmetry_pruning_emits_fewer_tables():
     assert 298 <= len(quandles) < 1405
     assert 353 <= len(racks) < 917
     assert all(validate_table(rows).ok for rows in quandles + racks)
+    # table for table and in order, the sequences emitted by the search that
+    # still re-checked rows at entry, looked for pinned rows and ranked types
+    connected_quandles = emitted(EnumerationFilter(7, quandle_only=True, connected_only=True))
+    connected_racks = emitted(EnumerationFilter(6, connected_only=True))
+    assert (len(racks), digest(racks)) == (777, "798828da2af9a860")
+    assert (len(quandles), digest(quandles)) == (788, "1c5e96f398f1263f")
+    assert (len(connected_quandles), digest(connected_quandles)) == (52, "d0e7da4ecd23a240")
+    assert (len(connected_racks), digest(connected_racks)) == (160, "e450a74d10f5a400")
+
+
+class InvariantCheckingSearch(_RowSearch):
+    """Checks at every branch that the assigned indices are closed under |>
+    and that no assigned row sends a free index to an assigned one."""
+
+    branches = 0
+
+    def _branch(self, group):
+        rows = self.rows
+        free = [x for x in range(self.n) if rows[x] is None]
+        for a in self.assigned:
+            assert all(rows[rows[a][b]] is not None for b in self.assigned)
+            assert all(rows[rows[a][x]] is None for x in free)
+        self.branches += 1
+        super()._branch(group)
+
+
+@pytest.mark.parametrize("filt", [EnumerationFilter(5), EnumerationFilter(6, quandle_only=True)], ids=["racks5", "quandles6"])
+@pytest.mark.parametrize("seed", [None, 4, 9])
+def test_assigned_indices_stay_closed_under_the_operation(filt, seed):
+    tables = []
+    search = InvariantCheckingSearch(filt, tables.append, rng=None if seed is None else random.Random(seed))
+    search.run()
+    assert search.branches > len(tables) > 0
 
 
 def test_root_group_is_the_centralizer_fixing_the_root_point():

@@ -52,6 +52,7 @@ def test_validate_rejects_broken_distributivity():
     }
     assert report.where in violations
     assert report.where == min(violations)
+    assert report.detail == "0|>(0|>0) = 0 but (0|>0)|>(0|>0) = 1"
 
 
 def test_validate_empty_rack():
