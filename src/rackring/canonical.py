@@ -16,6 +16,7 @@ censuses and coloring counts of presented quandles.
 from __future__ import annotations
 
 import struct
+from collections import Counter
 
 from .perms import Perm, PermGroup, _cycle_lengths
 from .racks import RackTable, _orbit_partition
@@ -38,20 +39,34 @@ def _initial_colors(table):
     return [ranking[inv] for inv in invariants]
 
 
-def _refine(table, colors):
-    """Iterate neighborhood signatures to a stable, invariantly ordered coloring."""
-    n = len(table)
+def _refine(table, columns, colors):
+    """Iterate neighborhood signatures to a stable, invariantly ordered coloring.
+
+    Each round ranks a point by its old color, then by the sorted triples
+    (color b, color a |> b, color b |> a) over b, read from `table[a]` and
+    `columns[a]`.  Three facts keep the rounds cheap and the result exact:
+    - a point alone in its cell takes the next rank in the order of its old
+      color, so it needs no signature;
+    - a triple (h, x, y) is the int h*m*m + x*m + y over colors shifted so
+      the least is 0 (the search individualizes a point of color 0 as -1),
+      and sorted ints order the multisets as sorted triples do;
+    - a round that splits no cell is the last: its dense ranking is stable.
+    """
     while True:
-        signatures = []
-        for a in range(n):
-            row = table[a]
-            local = sorted((colors[b], colors[row[b]], colors[table[b][a]]) for b in range(n))
-            signatures.append((colors[a], tuple(local)))
+        lo = min(colors)
+        m = max(colors) - lo + 1
+        low = [c - lo for c in colors]
+        mid = [c * m for c in low]
+        high = [c * m for c in mid]
+        size = Counter(colors)
+        signatures = [
+            (c, () if size[c] == 1 else tuple(sorted([h + mid[x] + low[y] for h, x, y in zip(high, row, col)])))
+            for c, row, col in zip(colors, table, columns)
+        ]
         ranking = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
-        new = [ranking[sig] for sig in signatures]
-        if new == colors:
+        colors = [ranking[sig] for sig in signatures]
+        if len(ranking) == len(size):
             return colors
-        colors = new
 
 
 def _is_transposition_automorphism(table, u, v):
@@ -78,6 +93,7 @@ def _canonical_search(table):
     Practical Graph Isomorphism II, 2014).
     """
     n = len(table)
+    columns = tuple(zip(*table))
     best_flat = best_label = best_verts = None
     auts = []  # discovered automorphisms, as image tuples, in order of discovery
     known = set()
@@ -87,13 +103,11 @@ def _canonical_search(table):
             known.add(g)
             auts.append(g)
 
-    def leaf(colors):
+    def leaf(label):
+        # a refined discrete coloring ranks the points 0..n-1: it is the labeling
         nonlocal best_flat, best_label, best_verts
-        label = [0] * n
-        verts = sorted(range(n), key=lambda v: colors[v])
-        for rank, v in enumerate(verts):
-            label[v] = rank
-        flat = tuple(label[table[a][b]] for a in verts for b in verts)
+        verts = sorted(range(n), key=label.__getitem__)
+        flat = tuple([label[row[b]] for row in map(table.__getitem__, verts) for b in verts])
         if best_flat is None or flat < best_flat:
             best_flat, best_label, best_verts = flat, label, verts
         elif flat == best_flat:
@@ -101,7 +115,7 @@ def _canonical_search(table):
 
     def rec(colors, fixed, gens):
         # gens: every automorphism found so far that fixes `fixed` pointwise
-        colors = _refine(table, colors)
+        colors = _refine(table, columns, colors)
         classes = {}
         for v in range(n):
             classes.setdefault(colors[v], []).append(v)

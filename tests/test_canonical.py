@@ -31,6 +31,7 @@ from rackring import (
     symmetric_group,
     trivial,
 )
+from rackring import canonical
 from rackring.groups import conjugation_quandle
 
 
@@ -187,13 +188,15 @@ def test_automorphism_group_empty_rack_errors():
 
 def test_distinct_keys_mean_nonisomorphic_at_order_five(racks_by_order):
     # independent route: distinct enumeration representatives must admit no
-    # relabeling onto each other, checked against all 120 permutations
+    # relabeling onto each other, checked against all 120 permutations of
+    # every earlier representative
     reps = racks_by_order[5]
     perms = [Perm(images) for images in permutations(range(5))]
     assert len({canonical_key(r) for r in reps}) == len(reps)
-    for i, a in enumerate(reps):
-        for b in reps[i + 1 :]:
-            assert not any(a.relabel(p) == b for p in perms)
+    relabelings = set()
+    for r in reps:
+        assert r not in relabelings
+        relabelings.update(r.relabel(p) for p in perms)
 
 
 def test_keys_of_racks_to_order_six_and_quandles_of_order_seven_are_pinned():
@@ -233,3 +236,82 @@ def conjugation_class_quandle_of_tetrahedron():
 
     (tetra,) = enumerate_racks(EnumerationFilter(4, quandle_only=True, connected_only=True))
     return tetra
+
+
+def _reference_refine(table, colors):
+    """Refinement as it was before it skipped singleton cells: sorted triples
+    of every point in every round, and one more round to confirm stability."""
+    n = len(table)
+    while True:
+        signatures = []
+        for a in range(n):
+            row = table[a]
+            local = sorted((colors[b], colors[row[b]], colors[table[b][a]]) for b in range(n))
+            signatures.append((colors[a], tuple(local)))
+        ranking = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
+        new = [ranking[sig] for sig in signatures]
+        if new == colors:
+            return colors
+        colors = new
+
+
+@pytest.fixture(scope="module")
+def relabeled_racks_to_six_and_quandles_of_seven():
+    tables = [t for n in range(1, 7) for t in enumerate_racks(EnumerationFilter(n))]
+    tables += enumerate_racks(EnumerationFilter(7, quandle_only=True))
+    rng = random.Random(6)
+    relabeled = []
+    for t in tables:
+        images = list(range(t.n))
+        rng.shuffle(images)
+        relabeled.append(t.relabel(Perm(images)).table)
+    return relabeled
+
+
+def test_refine_matches_the_reference(relabeled_racks_to_six_and_quandles_of_seven):
+    rng = random.Random(7)
+    for table in relabeled_racks_to_six_and_quandles_of_seven:
+        n = len(table)
+        columns = tuple(zip(*table))
+        initial = canonical._initial_colors(table)
+        individualized = [2 * c for c in initial]
+        individualized[initial.index(0)] = -1
+        starts = [initial, individualized]
+        for _ in range(3):
+            colors = [rng.choice((-1, 0, 0, 1, 3)) for _ in range(n)]
+            colors[rng.randrange(n)] = -1
+            starts.append(colors)
+        for colors in starts:
+            assert canonical._refine(table, columns, colors) == _reference_refine(table, colors)
+
+
+def test_canonical_search_matches_the_reference_refine(relabeled_racks_to_six_and_quandles_of_seven, monkeypatch):
+    d3 = dihedral(3)
+    tables = relabeled_racks_to_six_and_quandles_of_seven + [product(product(d3, d3), d3).table]
+    searches = [canonical._canonical_search(t) for t in tables]
+    monkeypatch.setattr(canonical, "_refine", lambda table, columns, colors: _reference_refine(table, colors))
+    assert [canonical._canonical_search(t) for t in tables] == searches
+
+
+def test_keys_of_large_racks_are_pinned():
+    # digest of the keys, each rack in its built labeling, as the search gave
+    # them before refinement skipped singleton cells
+    d3, d5 = dihedral(3), dihedral(5)
+    racks = (
+        product(product(d3, d3), d3),
+        conjugation_quandle(symmetric_group(5)),
+        trivial(40),
+        dihedral(61),
+        product(product(d5, d5), d5),
+    )
+    digest = hashlib.sha256(b"".join(canonical_key(r) for r in racks)).hexdigest()
+    assert digest == "67c56cbd016f8fd40316894aa9f84dddf0d9ab914cc4051e4cef454fc35ff326"
+
+
+def test_order_125_product_keys_like_a_relabeling():
+    # the digest is that of the key of d5^3 in its built labeling, pinned above
+    d5 = dihedral(5)
+    images = list(range(125))
+    random.Random(125).shuffle(images)
+    key = canonical_key(product(product(d5, d5), d5).relabel(Perm(images)))
+    assert hashlib.sha256(key).hexdigest() == "7343e3fe3b5dc4df5cc3a72e8295ae469a46c275df727c656cb38bc19da02a58"
