@@ -233,9 +233,10 @@ def _table_constraints(table):
     ]
 
 
-def _extend(constraints, target):
+def _extend(constraints, target, first=None):
     """Yield every map f from the source points into a target rack table
-    with f(m) = f(i) |> f(j) for each constraint (i, j, m), as image tuples.
+    with f(m) = f(i) |> f(j) for each constraint (i, j, m), as image tuples;
+    with `first` given, only the maps with f(0) = first.
 
     The source has one point per entry of `constraints`, and entry x lists
     the constraints with x as i or j.  Branching takes the first unassigned
@@ -278,7 +279,7 @@ def _extend(constraints, target):
                 yield from rec()
                 rollback(trail)
 
-    return rec()
+    return rec() if first is None or assign(0, first) is not None else iter(())
 
 
 def automorphism_group(r: RackTable) -> PermGroup:

@@ -112,9 +112,16 @@ class Workspace:
                     raise FormatError(f"corrupt product entry: {exc}", lineno) from None
                 if None in entries:
                     raise FormatError("product key names no registry class", lineno)
-                left, right, *terms = (entry.id for entry in entries)
-                pair = (left, right) if left <= right else (right, left)
-                ring.product_memo[pair] = BurnsideElement(zip(terms, coeffs))
+                a, b, *terms = entries
+                # cardinality is a ring map, and products of quandles are quandles
+                if min(coeffs, default=1) < 1:
+                    raise FormatError("product coefficients must be positive", lineno)
+                if sum(c * t.order for c, t in zip(coeffs, terms)) != a.order * b.order:
+                    raise FormatError(f"product terms do not add up to order {a.order * b.order}", lineno)
+                if a.quandle and b.quandle and not all(t.quandle for t in terms):
+                    raise FormatError("a product of quandles has a non-quandle term", lineno)
+                pair = min(a.id, b.id), max(a.id, b.id)
+                ring.product_memo[pair] = BurnsideElement(zip((t.id for t in terms), coeffs))
             self.loaded[self.products_file] = len(ring.product_memo)
         return ring
 

@@ -5,6 +5,8 @@ a connected source C the count |Mor(C, -)| is additive over decompositions
 and multiplicative over products, so it extends to an integer-valued ring
 map on elements over the class registry.  Presented quandles count their
 colorings into a target without ever building the presented object.
+Counts visit the maps with f(0) least in its inner orbit O, weighted by |O|:
+composing with inner automorphisms keeps injectivity, surjectivity and image.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 from .burnside import BurnsideElement, BurnsideRing
 from .canonical import _extend, _table_constraints, automorphism_group, canonical_key, key_order, key_table
-from .racks import FormatError, RackTable, _read_header
+from .racks import FormatError, RackTable, _orbit_partition, _read_header
 from .structure import is_connected
 
 
@@ -24,8 +26,14 @@ def enumerate_morphisms(c: RackTable, r: RackTable) -> list:
     return sorted(_extend(_table_constraints(c.table), r.table))
 
 
+def _orbit_weighted(constraints, target):
+    """(f, |O|) for each map f with f(0) least in its inner orbit O."""
+    orbits = _orbit_partition(target) if constraints else [(None,)]  # no point 0: the one empty map
+    return ((f, len(orbit)) for orbit in orbits for f in _extend(constraints, target, orbit[0]))
+
+
 def _morphism_count(c: RackTable, r: RackTable) -> int:
-    return sum(1 for _ in _extend(_table_constraints(c.table), r.table))
+    return sum(weight for _, weight in _orbit_weighted(_table_constraints(c.table), r.table))
 
 
 @dataclass
@@ -37,21 +45,22 @@ class MorphismCensus:
 
 
 def census(c: RackTable, r: RackTable) -> MorphismCensus:
-    """Classify every morphism by injectivity, surjectivity and image class."""
+    """Classify every morphism by injectivity, surjectivity and image class (listed as sorted maps meet them)."""
+    if c.n == 0:
+        raise ValueError("the source must be nonempty")
     by_image = {}
     keys = {}  # image set -> hex key of its class, each keyed once
     inj = sur = 0
-    maps = enumerate_morphisms(c, r)
-    for f in maps:
+    for f, weight in sorted(_orbit_weighted(_table_constraints(c.table), r.table)):
         values = frozenset(f)
         if len(values) == c.n:
-            inj += 1
+            inj += weight
         if len(values) == r.n:
-            sur += 1
+            sur += weight
         if values not in keys:
             keys[values] = canonical_key(r.restrict(sorted(values))).hex()
-        by_image[keys[values]] = by_image.get(keys[values], 0) + 1
-    return MorphismCensus(len(maps), inj, sur, by_image)
+        by_image[keys[values]] = by_image.get(keys[values], 0) + weight
+    return MorphismCensus(sum(by_image.values()), inj, sur, by_image)
 
 
 def mark(c: RackTable, x: BurnsideElement, ring: BurnsideRing) -> int:
@@ -126,7 +135,7 @@ def colorings(p: PresentedQuandle, r: RackTable) -> int:
         relation = (i, j, m) if kind == "apply" else (i, m, j)
         for x in {relation[0], relation[1]}:
             constraints[x].append(relation)
-    return sum(1 for _ in _extend(constraints, r.table))
+    return sum(weight for _, weight in _orbit_weighted(constraints, r.table))
 
 
 def parse_presentation(text: str) -> PresentedQuandle:

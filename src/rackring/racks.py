@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .perms import Perm, _union_find
 
@@ -51,13 +52,36 @@ def validate_table(rows) -> ValidationReport:
     for a, row in enumerate(rows):
         if len(set(row)) != n:
             return ValidationReport(False, "row-not-bijective", f"row {a} = {list(row)} is not a bijection", (a,))
-    failure = _distributivity_failure(rows)
-    if failure is not None:
-        a, b, c = failure
+    if not _self_distributive(rows):
+        a, b, c = _distributivity_failure(rows)
         ra = rows[a]
         detail = f"{a}|>({b}|>{c}) = {ra[rows[b][c]]} but ({a}|>{b})|>({a}|>{c}) = {rows[ra[b]][ra[c]]}"
         return ValidationReport(False, "not-self-distributive", detail, (a, b, c))
     return ValidationReport(True)
+
+
+def _generators(rows):
+    """Points taken greedily until the rows of those taken reach every point."""
+    reached, gens = set(), []
+    for x in range(len(rows)):
+        if x not in reached:
+            gens.append(x)
+            new = {x} | ({rows[x][y] for y in reached} - reached)
+            while new:
+                reached |= new
+                new = {rows[g][p] for p in new for g in gens} - reached
+    return gens
+
+
+def _self_distributive(rows):
+    """True when every row a of the bijective rows is an automorphism,
+    L_a L_b = L_(a|>b) L_a for all b.  Only the generators' rows are tested: if
+    L_a and L_b are automorphisms, so are L_a^-1 and L_(a|>b) = L_a L_b L_a^-1,
+    so the points with automorphic rows, holding the generators, are all points."""
+    compose = [itemgetter(*row) for row in rows]  # compose[b](r) is r after row b
+    return all(
+        compose[b](rows[a]) == compose[a](rows[ab]) for a in _generators(rows) for b, ab in enumerate(rows[a])
+    )
 
 
 def _distributivity_failure(rows):
@@ -232,10 +256,19 @@ def is_ideal(r: RackTable, subset) -> bool:
 
 
 def _orbit_partition(table, indices=None):
-    """Orbits of the rows' action, as sorted tuples ordered by least element."""
+    """Orbits of the rows' action, as sorted tuples ordered by least element
+    (`indices`, when given, must be closed under its own rows)."""
     if indices is None:
         indices = range(len(table))
-    return _union_find(indices, ((b, table[a][b]) for a in indices for b in indices))
+    rows, left, orbits = [table[a] for a in indices], set(indices), []
+    while left:
+        orbit = frontier = {min(left)}
+        while frontier:
+            frontier = {row[y] for y in frontier for row in rows} - orbit
+            orbit |= frontier
+        left -= orbit
+        orbits.append(tuple(sorted(orbit)))
+    return tuple(orbits)
 
 
 def inner_fixed_points(r: RackTable) -> tuple:

@@ -10,19 +10,23 @@ from rackring import (
     canonical_key,
     census,
     colorings,
+    conjugation_quandle,
     cycle_rack,
     dihedral,
     disjoint_union,
     enumerate_morphisms,
     format_presentation,
+    is_connected,
     mark,
     mark_matrix,
     parse_presentation,
     product,
+    symmetric_group,
     trefoil_presentation,
     trivial,
     verify_triangular_recursion,
 )
+from rackring.canonical import _table_constraints
 from rackring.racks import FormatError
 
 
@@ -106,7 +110,40 @@ def test_census_keys_each_distinct_image_once(monkeypatch):
     c, r = dihedral(5), product(dihedral(5), dihedral(5))
     cen = census(c, r)
     assert cen.mor == 625
-    assert len(keyed) == len({frozenset(f) for f in enumerate_morphisms(c, r)}) == 55
+    # d5 x d5 is one inner orbit: the census visits the 25 maps with f(0) = 0
+    representatives = [f for f, _ in marks._orbit_weighted(_table_constraints(c.table), r.table)]
+    assert len(representatives) == 25
+    assert len(keyed) == len({frozenset(f) for f in representatives}) == 7
+    assert cen == census_keying_every_morphism(c, r)
+
+
+def _presentation_of(c):
+    """The presentation whose relations are every entry of the table c."""
+    return PresentedQuandle(c.n, tuple(("apply", a, b, c.table[a][b]) for a in range(c.n) for b in range(c.n)))
+
+
+def test_orbit_weighted_counts_match_the_listing_path(racks_by_order):
+    # census is compared with the listing path in test_census_matches_keying_every_morphism
+    sources = [c for n in range(1, 4) for c in racks_by_order[n]]
+    targets = [r for n in range(5) for r in racks_by_order[n]]
+    listed = [[len(enumerate_morphisms(c, r)) for r in targets] for c in sources]
+    connected = [i for i, c in enumerate(sources) if is_connected(c)]
+    assert mark_matrix([sources[i] for i in connected], targets) == [listed[i] for i in connected]
+    for c, row in zip(sources, listed):
+        assert [colorings(_presentation_of(c), r) for r in targets] == row
+
+
+def test_orbit_weighted_colorings_of_large_targets():
+    conj_s5 = conjugation_quandle(symmetric_group(5))
+    trefoil = trefoil_presentation()
+    assert colorings(trefoil, conj_s5) == 600
+    assert colorings(trefoil, dihedral(97)) == 97
+    # generator 0 takes part in no relation: it multiplies the count by |r|
+    shifted = tuple((kind, i + 1, j + 1, m + 1) for kind, i, j, m in trefoil.relations)
+    assert colorings(PresentedQuandle(4, shifted), conj_s5) == 120 * 600
+    assert colorings(PresentedQuandle(4, trefoil.relations), dihedral(97)) == 97 * 97
+    for r in (conj_s5, dihedral(3), RackTable([])):
+        assert colorings(PresentedQuandle(0, ()), r) == 1
 
 
 def test_mark_requires_connected_source(ring):

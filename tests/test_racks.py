@@ -16,6 +16,7 @@ from rackring import (
     inner_fixed_points,
     is_ideal,
     is_subrack,
+    load_rack,
     parse_rack,
     permutation_rack,
     product,
@@ -24,7 +25,9 @@ from rackring import (
     trivially_acting_part,
     validate_table,
 )
-from rackring.racks import FormatError
+from rackring import racks, structure
+from rackring.perms import _union_find
+from rackring.racks import FormatError, ValidationReport
 
 
 DIH3_ROWS = [[0, 2, 1], [2, 1, 0], [1, 0, 2]]
@@ -294,3 +297,78 @@ def test_save_rack_replaces_atomically(tmp_path, monkeypatch):
         save_rack(dihedral(3), path)
     assert path.read_text() == old
     assert os.listdir(tmp_path) == ["kept.rack"]
+
+
+def test_generator_check_matches_the_scan():
+    # every table of order <= 3 with bijective rows, and every order-4 table
+    # whose rows fix their own index
+    tables = [rows for n in range(4) for rows in iproduct(list(permutations(range(n))), repeat=n)]
+    fixing = [[p for p in permutations(range(4)) if p[a] == a] for a in range(4)]
+    tables += iproduct(*fixing)
+    assert len(tables) == 1 + 1 + 4 + 216 + 1296
+    for rows in tables:
+        assert racks._self_distributive(rows) == (racks._distributivity_failure(rows) is None), rows
+
+
+def _large_racks():
+    from rackring import conjugation_quandle, symmetric_group
+
+    d3 = dihedral(3)
+    return [conjugation_quandle(symmetric_group(5)), dihedral(97), product(product(d3, d3), d3), trivial(40)]
+
+
+def test_broken_rows_are_reported_like_the_scan(monkeypatch):
+    def scan_report(rows):
+        with monkeypatch.context() as m:
+            m.setattr(racks, "_self_distributive", lambda rows: racks._distributivity_failure(rows) is None)
+            report = validate_table(rows)
+        return report.error, report.detail, report.where
+
+    for r in _large_racks():
+        n, gens = r.n, racks._generators(r.table)
+        others = [a for a in range(n) if a not in gens]
+        assert others or r == trivial(40)  # every point of trivial(40) is a generator
+        for a in [gens[0], gens[-1]] + others[-1:]:
+            rows = [list(row) for row in r.table]
+            b = (a + 1) % n
+            rows[a][a], rows[a][b] = rows[a][b], rows[a][a]
+            report = validate_table(rows)
+            assert not report.ok
+            assert (report.error, report.detail, report.where) == scan_report(rows)
+
+
+def test_loading_a_rack_runs_no_scan(tmp_path, monkeypatch):
+    def scan(rows):
+        raise AssertionError("the full distributivity scan ran")
+
+    monkeypatch.setattr(racks, "_distributivity_failure", scan)
+    path = tmp_path / "large.rack"
+    for r in _large_racks():
+        save_rack(r, path)
+        assert load_rack(path) == r
+        assert validate_table(r.table) == ValidationReport(True)
+
+
+def _orbit_partition_by_union_find(table, indices=None):
+    """Reference: the orbits as the union-find over all n^2 pairs gave them."""
+    if indices is None:
+        indices = range(len(table))
+    return _union_find(indices, ((b, table[a][b]) for a in indices for b in indices))
+
+
+def test_orbit_partition_matches_union_find(racks_by_order, monkeypatch):
+    visited = []
+
+    def recording(table, indices=None):
+        visited.append((table, indices))
+        return racks._orbit_partition(table, indices)
+
+    monkeypatch.setattr(structure, "_orbit_partition", recording)
+    for n in range(6):
+        for r in racks_by_order[n]:
+            visited.append((r.table, None))
+            structure.decomposition_tree(r.relabel(Perm(tuple(reversed(range(n))))))
+            structure.decomposition_tree(r)
+    assert sum(indices is not None and len(indices) < len(table) for table, indices in visited) > 100
+    for table, indices in visited:
+        assert racks._orbit_partition(table, indices) == _orbit_partition_by_union_find(table, indices)

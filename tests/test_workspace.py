@@ -115,6 +115,37 @@ def test_registry_check_names_a_non_canonical_key(capsys, tmp_path):
     assert registry_file.read_text() == text
 
 
+@pytest.mark.parametrize(
+    "terms, message",
+    [
+        ("0 {d3xd3}", "product coefficients must be positive"),
+        ("1 {d3xd3} -1 {c3}", "product coefficients must be positive"),
+        ("7 {d3xd3}", "product terms do not add up to order 9"),
+        ("2 {c3}", "product terms do not add up to order 9"),
+        ("3 {c3}", "a product of quandles has a non-quandle term"),
+    ],
+)
+def test_plain_load_rejects_a_product_line_that_cannot_hold(capsys, tmp_path, terms, message):
+    workspace = str(tmp_path / "data")
+    classes = {"d3": dihedral(3), "d3xd3": product(dihedral(3), dihedral(3)), "c3": cycle_rack(3)}
+    keys = {name: canonical_key(r).hex() for name, r in classes.items()}
+    for name in ("d3", "c3"):
+        save_rack(classes[name], tmp_path / f"{name}.rack")
+        assert run(capsys, "--workspace", workspace, "burnside", str(tmp_path / f"{name}.rack"))[0] == 0
+    x = tmp_path / "x.elem"
+    x.write_text(f"1 {keys['d3']}\n")
+    assert run(capsys, "--workspace", workspace, "mul", str(x), str(x))[0] == 0
+    products_file = Path(workspace, "products.txt")
+    assert products_file.read_text() == f"{keys['d3']} {keys['d3']} = 1 {keys['d3xd3']}\n"
+    # the edited line follows a comment, so it is line 2
+    products_file.write_text(f"# edited\n{keys['d3']} {keys['d3']} = {terms.format(**keys)}\n")
+    before = {name: Path(workspace, name).read_bytes() for name in ("registry.txt", "products.txt")}
+    code, out, err = run(capsys, "--workspace", workspace, "mul", str(x), str(x))
+    assert code == 1 and out == ""
+    assert err == f"error: line 2: {message}\n"
+    assert {name: Path(workspace, name).read_bytes() for name in before} == before
+
+
 def test_concurrent_burnside_processes_get_stable_ids(tmp_path):
     workspace = str(tmp_path / "data")
     files = []
