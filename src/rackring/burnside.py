@@ -202,12 +202,12 @@ class BurnsideRing:
 
     # -- prime quandles ----------------------------------------------------------
 
-    def connected_quandle_classes(self, order: int, *, bound=None) -> list:
+    def connected_quandle_classes(self, order: int) -> list:
         """Ids of all connected quandle classes of the given order."""
         cached = self._quandle_classes.get(order)
         if cached is None:
             filt = enumeration.EnumerationFilter(order, quandle_only=True, connected_only=True)
-            cached = [self.registry.register(t) for t in enumeration.enumerate_racks(filt, bound=bound)]
+            cached = [self.registry.register(t) for t in enumeration.enumerate_racks(filt)]
             self._quandle_classes[order] = cached
         return cached
 
@@ -215,14 +215,14 @@ class BurnsideRing:
         if not q.is_quandle() or not is_connected(q):
             raise ValueError("expected a connected quandle")
 
-    def is_prime_quandle(self, q: RackTable, *, bound=None) -> bool:
+    def is_prime_quandle(self, q: RackTable) -> bool:
         """No factorization q = A x B with both factors of order > 1."""
         self._check_connected_quandle(q)
         if q.n < 2:
             raise ValueError("primality is only defined for order >= 2")
-        return self._find_split(q, bound=bound) is None
+        return next(self.splits(q), None) is None
 
-    def splits(self, q: RackTable, *, bound=None):
+    def splits(self, q: RackTable):
         """Yield every pair (A_id, B_id) of connected quandle classes with
         A x B isomorphic to q and 2 <= |A| <= |B|, smallest |A| first."""
         n = q.n
@@ -230,28 +230,24 @@ class BurnsideRing:
         for d in range(2, isqrt(n) + 1):
             if n % d:
                 continue
-            for a_id in self.connected_quandle_classes(d, bound=bound):
+            for a_id in self.connected_quandle_classes(d):
                 left = self.registry.entry(a_id).table
-                for b_id in self.connected_quandle_classes(n // d, bound=bound):
+                for b_id in self.connected_quandle_classes(n // d):
                     right = self.registry.entry(b_id).table
                     if canonical_key(product(left, right)) == target:
                         yield a_id, b_id
 
-    def _find_split(self, q: RackTable, *, bound=None):
-        """Smallest factorization (A_id, B_id) of q, or None if prime."""
-        return next(self.splits(q, bound=bound), None)
-
-    def factor_quandle(self, q: RackTable, *, bound=None) -> list:
+    def factor_quandle(self, q: RackTable) -> list:
         """Multiset of prime-class ids whose product is isomorphic to q."""
         self._check_connected_quandle(q)
         if q.n == 1:
             return []
-        split = self._find_split(q, bound=bound)
+        split = next(self.splits(q), None)
         if split is None:
             return [self.registry.register(q)]
         a_id, b_id = split
-        left = self.factor_quandle(self.registry.entry(a_id).table, bound=bound)
-        right = self.factor_quandle(self.registry.entry(b_id).table, bound=bound)
+        left = self.factor_quandle(self.registry.entry(a_id).table)
+        right = self.factor_quandle(self.registry.entry(b_id).table)
         return sorted(left + right)
 
 

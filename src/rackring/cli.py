@@ -121,6 +121,8 @@ class Workspace:
                 if a.quandle and b.quandle and not all(t.quandle for t in terms):
                     raise FormatError("a product of quandles has a non-quandle term", lineno)
                 pair = min(a.id, b.id), max(a.id, b.id)
+                if pair in ring.product_memo:
+                    raise FormatError(f"duplicate product of classes {pair[0]} and {pair[1]}", lineno)
                 ring.product_memo[pair] = BurnsideElement(zip((t.id for t in terms), coeffs))
             self.loaded[self.products_file] = len(ring.product_memo)
         return ring

@@ -2,18 +2,22 @@
 
 Generation branches over whole rows (left multiplications), propagating the
 closure constraint: once rows a and b are fixed, the row at position a |> b
-must be the conjugate row_a . row_b . row_a^(-1).  Symmetry is cut three
-ways.  Row 0 is forced into a canonical layout for its cycle type, which
-must be maximal among all rows.  At each free branch, a candidate row is
-tried only if it is the least of its conjugates under the permutations that
-fix every assigned index and the branch index and commute with every
-assigned row (orbit pruning in the sense of McKay, Isomorph-free exhaustive
-generation, 1998).  Connected searches admit only rows of the root's cycle
-type.  Every isomorphism class keeps at least one representative; the
-survivors, about four tables per class for the quandles of order 8, are
-deduplicated by canonical key.  A naive generate-filter-dedup oracle over
-all row assignments, with pairwise relabeling tests, cross-checks the
-generator at small orders.
+must be the conjugate row_a . row_b . row_a^(-1).  Rows are keyed by shape
+(t, j): the cycle type t of row a and the length j of its cycle through a.
+The automorphism s(a) = a |> a commutes with row a, which sends a to s(a),
+so that cycle is the s-orbit of a: j = 1 throughout a quandle, and a
+connected rack, whose rows are conjugate by inner automorphisms, has one
+shape.  Symmetry is cut three ways.  Row 0 takes a canonical layout for the
+largest shape of its table, so the other rows have shapes up to it, j = 1 in
+quandle searches and exactly it in connected ones.  At each free branch, a
+candidate row is tried only if it is the least of its conjugates under the
+permutations that fix every assigned index and the branch index and commute
+with every assigned row (orbit pruning in the sense of McKay, Isomorph-free
+exhaustive generation, 1998).  Every isomorphism class keeps at least one
+representative; the survivors, about four tables per class for the
+quandles of order 8, are deduplicated by canonical key.  A naive
+generate-filter-dedup oracle over all row assignments, with pairwise
+relabeling tests, cross-checks the generator at small orders.
 """
 
 from __future__ import annotations
@@ -22,8 +26,9 @@ from dataclasses import dataclass, replace
 from itertools import permutations, product
 
 from .canonical import canonical_form, table_bytes
-from .perms import _cycle_lengths, _cycles, _invert
-from .racks import RackTable, _distributivity_failure, _orbit_partition
+from .perms import _cycles, _invert
+from .racks import RackTable, _distributivity_failure
+from .structure import is_connected
 
 DEFAULT_QUANDLE_BOUND = 8
 DEFAULT_RACK_BOUND = 6
@@ -41,9 +46,7 @@ class EnumerationFilter:
             raise ValueError("order must be nonnegative")
 
 
-def _partitions(n, largest=None):
-    if largest is None:
-        largest = n
+def _partitions(n, largest):
     if n == 0:
         yield ()
         return
@@ -52,41 +55,32 @@ def _partitions(n, largest=None):
             yield (part,) + rest
 
 
-def _lay_cycles(images, parts, start):
-    """Place cycles of the given lengths on consecutive indices from start."""
-    pos = start
-    for length in parts:
-        for i in range(pos, pos + length - 1):
-            images[i] = i + 1
-        images[pos + length - 1] = pos
-        pos += length
+def _shapes(n, quandle_only):
+    """Row shapes (cycle type, length of the cycle through the row's own
+    index), largest first; a quandle's rows fix their index, so j = 1."""
+    for t in _partitions(n, n):
+        for j in sorted(set(t), reverse=True):
+            if j == 1 or not quandle_only:
+                yield t, j
 
 
 def _root_rows(n, quandle_only):
     """Canonical candidate rows for index 0, one per admissible shape.
 
     Any table can be relabeled so that an element whose row has maximal
-    cycle type sits at index 0 with its row in this layout, so restricting
+    shape sits at index 0 with its row in this layout, so restricting
     row 0 to these shapes loses no isomorphism class.
     """
     roots = []
-    for partition in _partitions(n):
-        if quandle_only:
-            if 1 not in partition:
-                continue
-            rest = list(partition)
-            rest.remove(1)
-            images = [0] * n
-            _lay_cycles(images, sorted(rest, reverse=True), 1)
-            roots.append(tuple(images))
-        else:
-            for j in sorted(set(partition), reverse=True):
-                rest = list(partition)
-                rest.remove(j)
-                images = [0] * n
-                _lay_cycles(images, [j], 0)
-                _lay_cycles(images, sorted(rest, reverse=True), j)
-                roots.append(tuple(images))
+    for t, j in _shapes(n, quandle_only):
+        rest = list(t)
+        rest.remove(j)
+        images = []
+        for length in (j, *rest):
+            start = len(images)
+            images += range(start + 1, start + length)
+            images.append(start)
+        roots.append(tuple(images))
     return roots
 
 
@@ -129,6 +123,11 @@ class _RowSearch:
     """Row-by-row search for every rack table matching a filter, up to
     isomorphism: `emit` receives at least one table of each class.
 
+    Rows are admitted by shape (t, j), cycle type and the length of the
+    cycle through the row's own index: up to the root's, which is the largest
+    of its table, with j = 1 in quandle searches (row a sends a to a |> a)
+    and equal to the root's in connected ones, whose rows are all conjugate.
+
     Propagation fills a |> b for every assigned pair, so after each
     successful `_try_assign` the assigned indices are closed under |>.  Each
     row, a bijection, maps that set onto itself, so no free row is pinned.
@@ -136,61 +135,63 @@ class _RowSearch:
     `_branch` carries `group`, the permutations other than the identity that
     fix every assigned index and commute with every assigned row, each with
     its inverse.  Relabelling a completion by such a c keeps the assigned
-    rows and turns the row q at a free index that c fixes into c.q.c^-1, so
-    only the least of those conjugates is tried.  A connected rack has all
-    rows conjugate (row_{g(a)} = g.row_a.g^-1 for inner g), so connected
-    searches admit only the root's cycle type.
+    rows and turns the row q at a free index that c fixes into c.q.c^-1, of
+    the same shape, so only the least of those conjugates is tried.
     """
 
     def __init__(self, filt, emit, rng=None):
         n = self.n = filt.order
-        self.quandle_only = filt.quandle_only
         self.connected_only = filt.connected_only
         self.emit = emit
         self.rng = rng
         self.identity = tuple(range(n))
-        # cands[i][t]: the rows admissible at index i of cycle type t, largest t first
-        self.cands = [{t: [] for t in _partitions(n)} for _ in range(n)]
+        shapes = list(_shapes(n, filt.quandle_only))
+        self.roots = list(zip(shapes, _root_rows(n, filt.quandle_only)))
+        # cands[i][s]: the rows admissible at index i of shape s, largest s first
+        self.cands = [{s: [] for s in shapes} for _ in range(n)]
         for p in permutations(range(n)):
-            t = _cycle_lengths(p)
-            for i in range(n):
-                if not self.quandle_only or p[i] == i:
-                    self.cands[i][t].append(p)
+            cycles = _cycles(p)
+            t = tuple(sorted(map(len, cycles), reverse=True))
+            for cycle in cycles:
+                shape = t, len(cycle)
+                if shape in self.cands[0]:
+                    for i in cycle:
+                        self.cands[i][shape].append(p)
         self.rows = [None] * n
         self.invs = [None] * n
-        self.type_at = [None] * n
+        self.shape_at = [None] * n
         self.assigned = []
-        self.types = None
+        self.shapes = None
 
     def run(self):
         if self.n == 0:
             self.emit(())
             return
-        roots = _root_rows(self.n, self.quandle_only)
+        roots = self.roots
         if self.rng is not None:
+            roots = list(roots)
             self.rng.shuffle(roots)
-        for root in roots:
-            root_type = _cycle_lengths(root)
-            self.types = [root_type] if self.connected_only else [t for t in self.cands[0] if t <= root_type]
-            trail = self._try_assign(0, root, root_type)
+        for shape, root in roots:
+            self.shapes = [shape] if self.connected_only else [s for s in self.cands[0] if s <= shape]
+            trail = self._try_assign(0, root, shape)
             if trail is not None:
                 self._branch(_centralizer_fixing(root, 0))
                 self._rollback(trail)
 
     def _try_assign(self, index, row, shape):
-        """Assign `row`, of cycle type `shape`, and propagate conjugation
+        """Assign `row`, of shape `shape`, and propagate conjugation
         constraints; None on conflict.
 
         `row` comes from the root layouts or the candidate lists, and a
-        propagated row is a conjugate of an admitted row, so every row has an
-        admitted cycle type and, in a quandle, fixes its own index.  A
-        constraint on an assigned index is checked at once, and a cycle type
-        unlike the row already there rejects it before the conjugate is
-        built; a constraint on a free index waits in the queue.
+        propagated row p.r.p^-1 at p(a), for r at a, has the cycle type of r
+        and a cycle through p(a) as long as r's through a, so every row has an
+        admitted shape.  A constraint on an assigned index is checked at once,
+        and a shape unlike the row already there rejects it before the
+        conjugate is built; a constraint on a free index waits in the queue.
         """
-        rows, invs, type_at = self.rows, self.invs, self.type_at
+        rows, invs, shape_at = self.rows, self.invs, self.shape_at
         trail = []
-        # (index, p, r, p^-1, cycle type of r): the row at index is p.r.p^-1
+        # (index, p, r, p^-1, shape of r): the row at index is p.r.p^-1
         identity = self.identity
         queue = [(index, identity, row, identity, shape)]
         while queue:
@@ -203,21 +204,21 @@ class _RowSearch:
                 continue
             rows[i] = q
             invs[i] = qi = _invert(q)
-            type_at[i] = shape
+            shape_at[i] = shape
             self.assigned.append(i)
             trail.append(i)
             for a in self.assigned:
                 ra, ia = rows[a], invs[a]
                 j = q[a]
                 if rows[j] is None:
-                    queue.append((j, q, ra, qi, type_at[a]))
-                elif type_at[j] != type_at[a] or rows[j] != tuple(map(q.__getitem__, map(ra.__getitem__, qi))):
+                    queue.append((j, q, ra, qi, shape_at[a]))
+                elif shape_at[j] != shape_at[a] or rows[j] != tuple(map(q.__getitem__, map(ra.__getitem__, qi))):
                     self._rollback(trail)
                     return None
                 j = ra[i]
                 if rows[j] is None:
                     queue.append((j, ra, q, ia, shape))
-                elif type_at[j] != shape or rows[j] != tuple(map(ra.__getitem__, map(q.__getitem__, ia))):
+                elif shape_at[j] != shape or rows[j] != tuple(map(ra.__getitem__, map(q.__getitem__, ia))):
                     self._rollback(trail)
                     return None
         return trail
@@ -236,13 +237,13 @@ class _RowSearch:
         free = [i for i in range(self.n) if rows[i] is None]
         index = free[0] if self.rng is None else self.rng.choice(free)
         group = [g for g in group if g[0][index] == index]
-        by_type = self.cands[index]
-        types = self.types
+        by_shape = self.cands[index]
+        shapes = self.shapes
         if self.rng is not None:
-            types = list(types)
-            self.rng.shuffle(types)
-        for t in types:
-            cands = by_type[t]
+            shapes = list(shapes)
+            self.rng.shuffle(shapes)
+        for shape in shapes:
+            cands = by_shape[shape]
             if self.rng is not None:
                 cands = list(cands)
                 self.rng.shuffle(cands)
@@ -259,7 +260,7 @@ class _RowSearch:
                     if conj == q:
                         stabilizer.append(g)
                 else:
-                    trail = self._try_assign(index, q, t)
+                    trail = self._try_assign(index, q, shape)
                     if trail is not None:
                         self._branch(stabilizer)
                         self._rollback(trail)
@@ -274,10 +275,10 @@ def enumerate_racks(filt: EnumerationFilter, *, bound=None, rng=None):
     found = {}
 
     def emit(rows):
-        if filt.connected_only:
-            if not rows or len(_orbit_partition(rows)) != 1:
-                return
-        form, _ = canonical_form(RackTable._wrap(rows))
+        table = RackTable._wrap(rows)
+        if filt.connected_only and not is_connected(table):
+            return
+        form, _ = canonical_form(table)
         key = table_bytes(form)
         if key not in found:
             found[key] = form
@@ -325,5 +326,5 @@ def enumerate_racks_naive(filt: EnumerationFilter):
         reps.append(combo)
     tables = [RackTable._wrap(rows) for rows in reps]
     if filt.connected_only:
-        tables = [t for t in tables if t.n >= 1 and len(_orbit_partition(t.table)) == 1]
+        tables = [t for t in tables if is_connected(t)]
     return tables

@@ -51,7 +51,7 @@ def test_connected_quandle_counts_through_order_eight():
 
 
 def test_connected_search_matches_filtered_full_search():
-    # the connected search offers only the root's cycle type; filtering the
+    # the connected search offers only the root's row shape; filtering the
     # full search at the leaves is a second route to the same classes
     cases = [(n, False) for n in range(7)] + [(n, True) for n in range(8)]
     for n, quandle_only in cases:
@@ -143,14 +143,44 @@ def test_symmetry_pruning_emits_fewer_tables():
     assert 298 <= len(quandles) < 1405
     assert 353 <= len(racks) < 917
     assert all(validate_table(rows).ok for rows in quandles + racks)
-    # table for table and in order, the sequences emitted by the search that
-    # still re-checked rows at entry, looked for pinned rows and ranked types
+    # table for table and in order: the quandle sequences of the search that
+    # still re-checked rows at entry, looked for pinned rows and ranked types,
+    # and the rack sequences since rows are admitted by shape, not cycle type
+    # alone
     connected_quandles = emitted(EnumerationFilter(7, quandle_only=True, connected_only=True))
     connected_racks = emitted(EnumerationFilter(6, connected_only=True))
-    assert (len(racks), digest(racks)) == (777, "798828da2af9a860")
+    assert (len(racks), digest(racks)) == (608, "636b3737731ce2cc")
     assert (len(quandles), digest(quandles)) == (788, "1c5e96f398f1263f")
     assert (len(connected_quandles), digest(connected_quandles)) == (52, "d0e7da4ecd23a240")
-    assert (len(connected_racks), digest(connected_racks)) == (160, "e450a74d10f5a400")
+    assert (len(connected_racks), digest(connected_racks)) == (37, "d97243674c603d79")
+
+
+def shape(rows, a):
+    """Cycle type of row a and the length of its cycle through a."""
+    length, x = 1, rows[a][a]
+    while x != a:
+        length, x = length + 1, rows[a][x]
+    return Perm(rows[a]).cycle_lengths(), length
+
+
+@pytest.mark.parametrize(
+    "filt",
+    [EnumerationFilter(n) for n in (5, 6)] + [EnumerationFilter(n, connected_only=True) for n in (6, 7, 8)],
+    ids=["racks5", "racks6", "connected6", "connected7", "connected8"],
+)
+@pytest.mark.parametrize("seed", [None, 5])
+def test_emitted_rows_have_shapes_at_most_the_root(filt, seed):
+    # the root takes the largest shape of its table, and a connected rack's
+    # rows are all conjugate by inner automorphisms, which keep the shape
+    tables = []
+    _RowSearch(filt, tables.append, rng=None if seed is None else random.Random(seed)).run()
+    assert tables
+    for rows in tables:
+        root = shape(rows, 0)
+        shapes = {shape(rows, a) for a in range(filt.order)}
+        assert max(shapes) == root
+        if filt.connected_only:
+            assert shapes == {root}
 
 
 class InvariantCheckingSearch(_RowSearch):

@@ -146,6 +146,25 @@ def test_plain_load_rejects_a_product_line_that_cannot_hold(capsys, tmp_path, te
     assert {name: Path(workspace, name).read_bytes() for name in before} == before
 
 
+def test_load_rejects_a_second_line_for_the_same_product(capsys, tmp_path):
+    # `d3 d3 = 3 d3` adds up on its own, so only the repeat can catch it
+    workspace = str(tmp_path / "data")
+    save_rack(dihedral(3), tmp_path / "d3.rack")
+    assert run(capsys, "--workspace", workspace, "burnside", str(tmp_path / "d3.rack"))[0] == 0
+    d3 = canonical_key(dihedral(3)).hex()
+    x = tmp_path / "x.elem"
+    x.write_text(f"1 {d3}\n")
+    assert run(capsys, "--workspace", workspace, "mul", str(x), str(x))[0] == 0
+    products_file = Path(workspace, "products.txt")
+    products_file.write_text(products_file.read_text() + f"{d3} {d3} = 3 {d3}\n")
+    before = {name: Path(workspace, name).read_bytes() for name in ("registry.txt", "products.txt")}
+    for command in (["mul", str(x), str(x)], ["registry", "--check"]):
+        code, out, err = run(capsys, "--workspace", workspace, *command)
+        assert code == 1 and out == ""
+        assert err == "error: line 2: duplicate product of classes 0 and 0\n"
+    assert {name: Path(workspace, name).read_bytes() for name in before} == before
+
+
 def test_concurrent_burnside_processes_get_stable_ids(tmp_path):
     workspace = str(tmp_path / "data")
     files = []
