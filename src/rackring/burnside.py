@@ -10,10 +10,9 @@ factorization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import isqrt
 
-from . import enumeration
 from .canonical import canonical_form, canonical_key, key_table, table_bytes
 from .cycles import CycleVector, SparseVector
 from .racks import RackTable, _significant_lines, cycle_rack, product, trivial
@@ -24,13 +23,9 @@ from .structure import connected_parts, is_connected, profile
 MAX_PRODUCT_ORDER = 150
 
 
-@dataclass
-class ClassEntry:
-    id: int
-    key: bytes
-    order: int
-    table: RackTable  # canonical representative
-    quandle: bool
+class ClassEntry(namedtuple("ClassEntry", "id key order table quandle")):
+    # `table` is the canonical representative, the rack that `key` encodes
+    __slots__ = ()
 
 
 class ClassRegistry:
@@ -206,6 +201,8 @@ class BurnsideRing:
         """Ids of all connected quandle classes of the given order."""
         cached = self._quandle_classes.get(order)
         if cached is None:
+            from . import enumeration  # only prime factorisation enumerates
+
             filt = enumeration.EnumerationFilter(order, quandle_only=True, connected_only=True)
             cached = [self.registry.register(t) for t in enumeration.enumerate_racks(filt)]
             self._quandle_classes[order] = cached

@@ -19,21 +19,10 @@ from .burnside import (
     BurnsideElement, BurnsideRing, ClassRegistry, decode_element, format_element, register_terms, render_element,
 )
 from .canonical import canonical_form, canonical_key, find_isomorphism, table_bytes
-from .enumeration import EnumerationFilter, enumerate_racks
-from .groups import (
-    _check_elements,
-    check_coset_pair,
-    conjugation_class_quandle,
-    conjugation_quandle,
-    coset_rack,
-    crossed_to_rack,
-    parse_group,
-    parse_sl2,
-    rack_to_crossed,
-)
-from .marks import census, colorings, parse_presentation
 from .racks import FormatError, InvalidRackError, RackTable, _significant_lines, _write_text, parse_rack, save_rack
 from .structure import connected_parts, depth, inn_orbits, is_connected, is_irreducible, profile
+
+# the commands that run `groups`, `enumeration` and `marks` import them, so the others start faster
 
 DEFAULT_WORKSPACE = "./rackring-data"
 WORKSPACE_ENV = "RACKRING_WORKSPACE"
@@ -71,9 +60,10 @@ class Workspace:
             fcntl.flock(fd, fcntl.LOCK_UN)
             os.close(fd)
 
-    def load_ring(self, check_keys=False) -> BurnsideRing:
+    def load_ring(self, check=False) -> BurnsideRing:
         """Read the registry and products memo, trusting that stored keys are
-        canonical unless `check_keys` asks for a canonical search per key."""
+        canonical and stored products right unless `check` asks for a
+        canonical search per key and a recomputation per product."""
         registry = ClassRegistry()
         ring = BurnsideRing(registry)
         if os.path.exists(self.registry_file):
@@ -95,7 +85,7 @@ class Workspace:
                 # the line must read as save_ring writes it, up to number and hex spelling
                 if _registry_line(registry.entry(class_id)) != f"{class_id} {order} {parts[2]} {key.hex()}":
                     raise FormatError(f"corrupt registry entry {line!r}", lineno)
-                if check_keys and canonical_key(registry.entry(class_id).table) != key:
+                if check and canonical_key(registry.entry(class_id).table) != key:
                     raise FormatError("key is not the canonical key of its rack", lineno)
             self.loaded[self.registry_file] = len(registry)
         if os.path.exists(self.products_file):
@@ -123,7 +113,17 @@ class Workspace:
                 pair = min(a.id, b.id), max(a.id, b.id)
                 if pair in ring.product_memo:
                     raise FormatError(f"duplicate product of classes {pair[0]} and {pair[1]}", lineno)
-                ring.product_memo[pair] = BurnsideElement(zip((t.id for t in terms), coeffs))
+                element = BurnsideElement(zip((t.id for t in terms), coeffs))
+                if check:
+                    # on an empty memo, so no stored line vouches for another;
+                    # ids and keys correspond one to one, so equal ids are equal keys
+                    try:
+                        recomputed = BurnsideRing(registry)._basis_product(*pair)
+                    except ValueError as exc:
+                        raise FormatError(str(exc), lineno) from None
+                    if recomputed != element:
+                        raise FormatError("product differs from its recomputation", lineno)
+                ring.product_memo[pair] = element
             self.loaded[self.products_file] = len(ring.product_memo)
         return ring
 
@@ -277,6 +277,8 @@ def cmd_mul(args):
 
 
 def cmd_marks(args):
+    from .marks import census
+
     source = _load_rack_file(args.source)
     target = _load_rack_file(args.target)
     cen = census(source, target)
@@ -292,6 +294,8 @@ def cmd_marks(args):
 
 
 def cmd_color(args):
+    from .marks import colorings, parse_presentation
+
     presentation = parse_presentation(_read_text(args.presentation))
     table = _load_rack_file(args.rack)
     count = colorings(presentation, table)
@@ -308,6 +312,8 @@ def _emit_name(key_hex):
 
 
 def cmd_enumerate(args):
+    from .enumeration import EnumerationFilter, enumerate_racks
+
     filt = EnumerationFilter(args.order, quandle_only=args.quandle, connected_only=args.connected)
     tables = enumerate_racks(filt)
     # enumerate_racks returns canonical forms, which are their own keys
@@ -320,6 +326,8 @@ def cmd_enumerate(args):
 
 
 def cmd_coset_rack(args):
+    from .groups import check_coset_pair, coset_rack, parse_group, parse_sl2
+
     text = _read_text(args.group)
     if text.lstrip().startswith("sl2"):
         group, _ = parse_sl2(text)
@@ -342,6 +350,8 @@ def cmd_coset_rack(args):
 
 
 def cmd_conj_quandle(args):
+    from .groups import _check_elements, conjugation_class_quandle, conjugation_quandle, parse_group
+
     group = parse_group(_read_text(args.group))
     if args.cls is None:
         table = conjugation_quandle(group)
@@ -358,6 +368,8 @@ def cmd_conj_quandle(args):
 
 
 def cmd_crossed(args):
+    from .groups import crossed_to_rack, rack_to_crossed
+
     table = _load_rack_file(args.file)
     crossed = rack_to_crossed(table)
     # an identical table rebuilds this action, which the identity maps make equivalent to itself
@@ -380,7 +392,7 @@ def cmd_registry(args):
     ring = BurnsideRing()  # listing a missing workspace creates nothing
     if os.path.exists(workspace.path):
         with workspace.lock(shared=True):
-            ring = workspace.load_ring(check_keys=args.check)
+            ring = workspace.load_ring(check=args.check)
     entries = ring.registry.entries()
     report = {
         "entries": [
@@ -473,7 +485,9 @@ def build_parser():
     p.set_defaults(func=cmd_crossed)
 
     p = sub.add_parser("registry", help="list the workspace registry")
-    p.add_argument("--check", action="store_true", help="also check that every stored key is canonical")
+    p.add_argument(
+        "--check", action="store_true", help="also check that every stored key is canonical and recompute every product"
+    )
     p.set_defaults(func=cmd_registry)
 
     return parser

@@ -11,7 +11,7 @@ composing with inner automorphisms keeps injectivity, surjectivity and image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .burnside import BurnsideElement, BurnsideRing
 from .canonical import _extend, _table_constraints, automorphism_group, canonical_key, key_order, key_table
@@ -36,12 +36,9 @@ def _morphism_count(c: RackTable, r: RackTable) -> int:
     return sum(weight for _, weight in _orbit_weighted(_table_constraints(c.table), r.table))
 
 
-@dataclass
-class MorphismCensus:
-    mor: int
-    inj: int
-    sur: int
-    by_image: dict  # hex canonical key of the image class -> count
+class MorphismCensus(namedtuple("MorphismCensus", "mor inj sur by_image")):
+    # by_image: hex canonical key of the image class -> count
+    __slots__ = ()
 
 
 def census(c: RackTable, r: RackTable) -> MorphismCensus:
@@ -105,21 +102,23 @@ def verify_triangular_recursion(c: RackTable, r: RackTable) -> bool:
 # -- presented quandles ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PresentedQuandle:
-    """Generators and relations g_i |> g_j = g_m (or with the inverse action)."""
+class PresentedQuandle(namedtuple("PresentedQuandle", "generators relations")):
+    """Generators and relations g_i |> g_j = g_m (or with the inverse action).
 
-    generators: int
-    relations: tuple  # of (kind, i, j, m), kind in {"apply", "unapply"}
+    `relations` is a tuple of (kind, i, j, m), kind in {"apply", "unapply"}.
+    """
 
-    def __post_init__(self):
-        if self.generators < 0:
-            raise ValueError(f"negative generator count {self.generators}")
-        for kind, i, j, m in self.relations:
+    __slots__ = ()
+
+    def __new__(cls, generators, relations):
+        if generators < 0:
+            raise ValueError(f"negative generator count {generators}")
+        for kind, i, j, m in relations:
             if kind not in ("apply", "unapply"):
                 raise ValueError(f"unknown relation kind {kind!r}")
-            if not all(0 <= x < self.generators for x in (i, j, m)):
+            if not all(0 <= x < generators for x in (i, j, m)):
                 raise ValueError("relation index out of range")
+        return super().__new__(cls, generators, relations)
 
 
 def trefoil_presentation() -> PresentedQuandle:

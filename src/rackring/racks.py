@@ -9,7 +9,7 @@ multiplication by a.  Quandles are the racks with a |> a = a everywhere.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import itemgetter
 
 from .perms import Perm, _union_find
@@ -27,12 +27,9 @@ class FormatError(ValueError):
         self.line = line
 
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    error: str | None = None  # not-square | entry-out-of-range | row-not-bijective | not-self-distributive
-    detail: str = ""
-    where: tuple | None = None
+class ValidationReport(namedtuple("ValidationReport", "ok error detail where", defaults=(None, "", None))):
+    # error: None or not-square | entry-out-of-range | row-not-bijective | not-self-distributive
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok

@@ -8,7 +8,7 @@ and decomposition listings, and profiles of homogeneous racks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .canonical import _canonical_search
 from .cycles import CycleVector
@@ -53,8 +53,7 @@ def is_irreducible(r: RackTable) -> bool:
     return r.n >= 1 and len(irreducible_components(r)) == 1
 
 
-@dataclass
-class DecompositionTree:
+class DecompositionTree(namedtuple("DecompositionTree", "node children", defaults=((),))):
     """Node of the orbit-refinement recursion.
 
     `node` holds original indices; children partition the node into the
@@ -62,8 +61,7 @@ class DecompositionTree:
     (the empty rack yields a childless root by convention).
     """
 
-    node: tuple
-    children: list = field(default_factory=list)
+    __slots__ = ()
 
     def height(self):
         if not self.children:
@@ -81,14 +79,13 @@ class DecompositionTree:
 
 def decomposition_tree(r: RackTable) -> DecompositionTree:
     def rec(indices):
-        tree = DecompositionTree(tuple(indices))
+        node = tuple(indices)
         if len(indices) <= 1:
-            return tree
+            return DecompositionTree(node)
         orbits = _orbit_partition(r.table, indices)
         if len(orbits) == 1:
-            return tree
-        tree.children = [rec(orbit) for orbit in orbits]
-        return tree
+            return DecompositionTree(node)
+        return DecompositionTree(node, tuple(rec(orbit) for orbit in orbits))
 
     return rec(tuple(range(r.n)))
 

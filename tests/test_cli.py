@@ -380,7 +380,7 @@ def test_crossed_command(capsys, dih3_file):
 
 
 def test_crossed_builds_one_crossed_action(capsys, dih3_file, monkeypatch):
-    from rackring import cli
+    from rackring import groups
 
     built = []
 
@@ -388,7 +388,8 @@ def test_crossed_builds_one_crossed_action(capsys, dih3_file, monkeypatch):
         built.append(table)
         return rack_to_crossed(table)
 
-    monkeypatch.setattr(cli, "rack_to_crossed", counting)
+    # `cmd_crossed` imports `groups` when it runs, so it reads the patched name
+    monkeypatch.setattr(groups, "rack_to_crossed", counting)
     code, _, _ = run(capsys, "crossed", dih3_file)
     assert code == 0 and len(built) == 1
 

@@ -189,3 +189,51 @@ def test_concurrent_burnside_processes_get_stable_ids(tmp_path):
     assert burnside_in_parallel() == first
     assert registry_file.read_text() == listing
 
+
+@pytest.mark.parametrize("lineno, old, new", [(2, "1 {d3xc3}", "1 {d3xd3}"), (3, "3 {c3}", "3 {d3}")])
+def test_registry_check_names_a_product_line_that_differs(capsys, tmp_path, lineno, old, new):
+    # each edit swaps a term for another registered class of the same order,
+    # so every check of a plain load still holds
+    workspace = str(tmp_path / "data")
+    d3, c3 = dihedral(3), cycle_rack(3)
+    racks = {"d3": d3, "c3": c3, "d3xd3": product(d3, d3), "d3xc3": product(d3, c3)}
+    keys = {name: canonical_key(r).hex() for name, r in racks.items()}
+    for name in ("d3", "c3"):
+        save_rack(racks[name], tmp_path / f"{name}.rack")
+        assert run(capsys, "--workspace", workspace, "burnside", str(tmp_path / f"{name}.rack"))[0] == 0
+    x = tmp_path / "x.elem"
+    x.write_text(f"1 {keys['d3']}\n1 {keys['c3']}\n")
+    assert run(capsys, "--workspace", workspace, "mul", str(x), str(x))[0] == 0
+    products_file = Path(workspace, "products.txt")
+    lines = products_file.read_text().splitlines()
+    assert lines == [
+        "{d3} {d3} = 1 {d3xd3}".format(**keys),
+        "{d3} {c3} = 1 {d3xc3}".format(**keys),
+        "{c3} {c3} = 3 {c3}".format(**keys),
+    ]
+    lines[lineno - 1] = lines[lineno - 1].replace(old.format(**keys), new.format(**keys))
+    products_file.write_text("\n".join(lines) + "\n")
+    before = {name: Path(workspace, name).read_bytes() for name in ("registry.txt", "products.txt")}
+
+    code, out, _ = run(capsys, "--workspace", workspace, "registry")
+    assert code == 0 and len(out.splitlines()) == 4
+    code, out, err = run(capsys, "--workspace", workspace, "registry", "--check")
+    assert code == 1 and out == ""
+    assert err == f"error: line {lineno}: product differs from its recomputation\n"
+    assert {name: Path(workspace, name).read_bytes() for name in before} == before
+
+
+def test_registry_check_recomputes_every_product_of_a_clean_workspace(capsys, monkeypatch, populated):
+    recomputed = []
+    basis_product = BurnsideRing._basis_product
+
+    def counting(ring, i, j):
+        recomputed.append((i, j))
+        return basis_product(ring, i, j)
+
+    monkeypatch.setattr(BurnsideRing, "_basis_product", counting)
+    memo = Workspace(populated).load_ring().product_memo
+    assert len(memo) == 4 and not recomputed
+    # `test_registry_check_matches_plain_listing` compares the outputs
+    assert run(capsys, "--workspace", populated, "registry", "--check")[0] == 0
+    assert sorted(recomputed) == sorted(memo)
