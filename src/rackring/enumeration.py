@@ -22,11 +22,11 @@ relabeling tests, cross-checks the generator at small orders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from itertools import permutations, product
 
 from .canonical import canonical_form, table_bytes
-from .perms import _cycles, _invert
+from .perms import _closure, _compose, _cycles, _invert
 from .racks import RackTable, _distributivity_failure
 from .structure import is_connected
 
@@ -35,15 +35,13 @@ DEFAULT_RACK_BOUND = 6
 NAIVE_BOUND = 4
 
 
-@dataclass(frozen=True)
-class EnumerationFilter:
-    order: int
-    quandle_only: bool = False
-    connected_only: bool = False
+class EnumerationFilter(namedtuple("EnumerationFilter", "order quandle_only connected_only")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.order < 0:
+    def __new__(cls, order, quandle_only=False, connected_only=False):
+        if order < 0:
             raise ValueError("order must be nonnegative")
+        return super().__new__(cls, order, quandle_only, connected_only)
 
 
 def _partitions(n, largest):
@@ -90,33 +88,19 @@ def _centralizer_fixing(row, point):
 
     Such a permutation fixes the cycle of `point` pointwise and sends the
     other cycles of `row` to cycles of the same length, each with a rotation.
+    They are generated by the rotations of those cycles and by the swaps of
+    consecutive cycles of equal length, point by point from their least points.
     """
-    by_length = {}
-    for cycle in _cycles(row):
-        if point not in cycle:
-            by_length.setdefault(len(cycle), []).append(cycle)
-    choices = []
-    for length, cycles in by_length.items():
-        maps = []
-        for targets in permutations(cycles):
-            for shifts in product(range(length), repeat=len(cycles)):
-                maps.append([
-                    (src[t], dst[(t + s) % length])
-                    for src, dst, s in zip(cycles, targets, shifts)
-                    for t in range(length)
-                ])
-        choices.append(maps)
+    cycles = sorted((cycle for cycle in _cycles(row) if point not in cycle), key=len)
     identity = tuple(range(len(row)))
-    group = []
-    for parts in product(*choices):
-        c = list(identity)
-        for part in parts:
-            for x, y in part:
-                c[x] = y
-        c = tuple(c)
-        if c != identity:
-            group.append((c, _invert(c)))
-    return group
+    gens = [tuple(row[x] if x in cycle else x for x in identity) for cycle in cycles if len(cycle) > 1]
+    for xs, ys in zip(cycles, cycles[1:]):
+        if len(xs) == len(ys):
+            c = list(identity)
+            for x, y in zip(xs, ys):
+                c[x], c[y] = y, x
+            gens.append(tuple(c))
+    return [(c, _invert(c)) for c in _closure(identity, gens, _compose)[1:]]
 
 
 class _RowSearch:
@@ -293,7 +277,7 @@ def count(filt: EnumerationFilter, **kw) -> int:
 def populate_registry(filt: EnumerationFilter, registry, **kw) -> int:
     """Register every connected class found; returns the number added."""
     before = len(registry)
-    for table in enumerate_racks(replace(filt, connected_only=True), **kw):
+    for table in enumerate_racks(filt._replace(connected_only=True), **kw):
         registry.register(table)
     return len(registry) - before
 

@@ -12,11 +12,11 @@ is built here from checked data is wrapped unchecked (`_wrap`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import permutations
 
 from .canonical import automorphism_group
-from .perms import Perm, _compose
+from .perms import Perm, _closure, _compose
 from .racks import FormatError, RackTable, _read_header, _read_int_rows
 
 # Largest automorphism group rack_to_crossed tabulates: 720 takes seconds, 5,040 minutes.
@@ -34,6 +34,8 @@ class FinGroup:
     def __init__(self, cayley):
         object.__setattr__(self, "cayley", tuple(tuple(row) for row in cayley))
         n = len(self.cayley)
+        if n == 0:
+            raise ValueError("a group needs its identity at index 0; the table is empty")
         for a, row in enumerate(self.cayley):
             if len(row) != n:
                 raise ValueError(f"row {a} has length {len(row)}, expected {n}")
@@ -154,6 +156,8 @@ def _check_elements(group: FinGroup, elements):
 
 
 def cyclic_group(n: int) -> FinGroup:
+    if n < 1:
+        raise ValueError(f"a cyclic group has order >= 1, not {n}")
     return FinGroup._wrap(tuple((a + b) % n for b in range(n)) for a in range(n))
 
 
@@ -171,19 +175,6 @@ def symmetric_group(m: int) -> FinGroup:
         p for p in permutations(range(m)) if p != tuple(range(m))
     )
     return _tabulate(elements, _compose)[0]
-
-
-def _closure(identity, gens, step):
-    """Everything step(x, g) reaches from the identity, in breadth-first order."""
-    elements = [identity]
-    seen = {identity}
-    for x in elements:  # the list grows while it is walked
-        for g in gens:
-            y = step(x, g)
-            if y not in seen:
-                seen.add(y)
-                elements.append(y)
-    return elements
 
 
 def group_from_permutations(degree: int, gens) -> tuple:
@@ -290,8 +281,7 @@ def coset_rack(group: FinGroup, subgroup, mu) -> RackTable:
 # -- crossed G-sets ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CrossedGSet:
+class CrossedGSet(namedtuple("CrossedGSet", "group size action delta")):
     """A G-set with an equivariant crossing into the conjugation action.
 
     `action[g]` is the permutation of the carrier given by g, and
@@ -303,39 +293,34 @@ class CrossedGSet:
     derive actions from checked data and skip it via `_wrap`.
     """
 
-    group: FinGroup
-    size: int
-    action: tuple  # Perm per group element
-    delta: tuple  # group element per carrier point
+    __slots__ = ()
 
-    def __post_init__(self):
-        g = self.group
-        if len(self.action) != g.n:
+    def __new__(cls, group, size, action, delta):
+        if len(action) != group.n:
             raise ValueError("action must give one permutation per group element")
-        if len(self.delta) != self.size:
+        if len(delta) != size:
             raise ValueError("delta must give one group element per point")
-        for p in self.action:
-            if p.degree != self.size:
+        for p in action:
+            if p.degree != size:
                 raise ValueError("action degree mismatch")
-        if not self.action[0].is_identity():
+        if not action[0].is_identity():
             raise ValueError("the identity must act trivially")
-        images = [p.images for p in self.action]
-        for a in range(g.n):
-            for b, ab in enumerate(g.cayley[a]):
+        images = [p.images for p in action]
+        for a in range(group.n):
+            for b, ab in enumerate(group.cayley[a]):
                 if images[ab] != _compose(images[a], images[b]):
                     raise ValueError(f"action is not a homomorphism at ({a}, {b})")
-        for a in range(g.n):
-            pa = self.action[a]
-            for x in range(self.size):
-                if self.delta[pa(x)] != g.conj(a, self.delta[x]):
+        for a in range(group.n):
+            pa = action[a]
+            for x in range(size):
+                if delta[pa(x)] != group.conj(a, delta[x]):
                     raise ValueError(f"crossing is not equivariant at ({a}, {x})")
+        return super().__new__(cls, group, size, action, delta)
 
     @classmethod
     def _wrap(cls, group, size, action, delta):
         """Wrap a crossed action known to be valid."""
-        self = object.__new__(cls)
-        self.__dict__.update(group=group, size=size, action=action, delta=delta)
-        return self
+        return tuple.__new__(cls, (group, size, action, delta))
 
 
 CrossedAction = CrossedGSet

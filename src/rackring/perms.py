@@ -47,6 +47,9 @@ class Perm:
         points = [x for cycle in cycles for x in cycle]
         if len(set(points)) != len(points):
             raise ValueError(f"cycles repeat a point: {cycles!r}")
+        for x in points:
+            if not 0 <= x < degree:
+                raise ValueError(f"point {x} is not in 0..{degree - 1}")
         images = list(range(degree))
         for cycle in cycles:
             for i, j in zip(cycle, cycle[1:]):
@@ -125,6 +128,19 @@ def _invert(images):
     for i, v in enumerate(images):
         inv[v] = i
     return tuple(inv)
+
+
+def _closure(identity, gens, step):
+    """Everything step(x, g) reaches from the identity, in breadth-first order."""
+    elements = [identity]
+    seen = {identity}
+    for x in elements:  # the list grows while it is walked
+        for g in gens:
+            y = step(x, g)
+            if y not in seen:
+                seen.add(y)
+                elements.append(y)
+    return elements
 
 
 def _cycles(images):

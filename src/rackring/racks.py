@@ -282,25 +282,20 @@ def trivially_acting_part(r: RackTable) -> tuple:
 
 
 def associated_quandle(r: RackTable):
-    """Quotient by the orbits of the canonical automorphism.
+    """Quotient by the orbits of the canonical automorphism sigma.
 
     Returns (quandle, projection) where projection[x] is the index of the
-    orbit of x.  On quandles this is the identity quotient.
+    orbit of x.  On quandles this is the identity quotient.  Rows are
+    constant on sigma-orbits, since L_(a |> a) = L_a L_a L_a^(-1) = L_a, and
+    map sigma-orbits onto sigma-orbits, since sigma(a |> b) = a |> sigma(b);
+    so one representative per orbit gives the quotient, always a quandle.
     """
     sigma = r.canonical_automorphism()
     orbits = _union_find(range(r.n), ((x, sigma(x)) for x in range(r.n)))
     index = {x: i for i, orbit in enumerate(orbits) for x in orbit}
     projection = tuple(index[x] for x in range(r.n))
-    k = len(orbits)
-    rows = [[None] * k for _ in range(k)]
-    for a in range(r.n):
-        for b in range(r.n):
-            i, j, v = projection[a], projection[b], projection[r.table[a][b]]
-            if rows[i][j] is None:
-                rows[i][j] = v
-            elif rows[i][j] != v:
-                raise InvalidRackError("orbit quotient is not well-defined; corrupt table")
-    return RackTable(rows), projection
+    reps = [orbit[0] for orbit in orbits]
+    return RackTable._wrap([projection[r.table[a][b]] for b in reps] for a in reps), projection
 
 
 # -- text format ---------------------------------------------------------------

@@ -107,11 +107,11 @@ def connected_parts(r: RackTable) -> list:
     return sorted(leaves, key=lambda leaf: leaf[0])
 
 
-def enumerate_ideals(r: RackTable, max_orbits: int = MAX_ORBITS_FOR_IDEALS) -> list:
+def enumerate_ideals(r: RackTable) -> list:
     """All ideals, which are exactly the unions of inner orbits."""
     orbits = inn_orbits(r)
-    if len(orbits) > max_orbits:
-        raise ValueError(f"{len(orbits)} orbits exceeds the configured bound {max_orbits}")
+    if len(orbits) > MAX_ORBITS_FOR_IDEALS:
+        raise ValueError(f"{len(orbits)} orbits exceeds the configured bound {MAX_ORBITS_FOR_IDEALS}")
     out = []
     for mask in range(1 << len(orbits)):
         subset = []
@@ -119,23 +119,18 @@ def enumerate_ideals(r: RackTable, max_orbits: int = MAX_ORBITS_FOR_IDEALS) -> l
             if mask >> i & 1:
                 subset.extend(orbit)
         out.append(tuple(sorted(subset)))
-    return sorted(set(out), key=lambda s: (len(s), s))
+    return sorted(out, key=lambda s: (len(s), s))
 
 
-def enumerate_decompositions(r: RackTable, max_orbits: int = MAX_ORBITS_FOR_IDEALS) -> list:
-    """Unordered pairs of complementary nonempty ideals."""
+def enumerate_decompositions(r: RackTable) -> list:
+    """Unordered pairs of complementary nonempty ideals, each listed once as
+    the ideal that holds 0 and its complement."""
     full = set(range(r.n))
-    seen = set()
-    out = []
-    for ideal in enumerate_ideals(r, max_orbits):
-        if not ideal or len(ideal) == r.n:
-            continue
-        other = tuple(sorted(full - set(ideal)))
-        pair = (ideal, other) if ideal < other else (other, ideal)
-        if pair not in seen:
-            seen.add(pair)
-            out.append(pair)
-    return sorted(out)
+    return sorted(
+        (ideal, tuple(sorted(full - set(ideal))))
+        for ideal in enumerate_ideals(r)
+        if ideal and ideal[0] == 0 and len(ideal) < r.n
+    )
 
 
 def profile(r: RackTable) -> CycleVector:

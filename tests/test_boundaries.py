@@ -20,7 +20,6 @@ ALLOWED = {
     ("canonical.py", "key_table", "RackTable"): "outside input: a key read from a registry or element file",
     ("groups.py", "coset_rack", "RackTable"): "a precondition: the table is a rack only for a valid coset pair",
     ("groups.py", "parse_group", "FinGroup"): "outside input: a group file",
-    ("racks.py", "associated_quandle", "RackTable"): "a quotient: of whatever table it is given",
     ("racks.py", "parse_rack", "RackTable"): "outside input: a rack file",
     ("reports.py", "inner_crossed_variant_check", "CrossedGSet"): "a survey: the crossing over the inner group is what it tests",
 }

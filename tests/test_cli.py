@@ -349,6 +349,14 @@ def test_conj_quandle_command(capsys, tmp_path):
     assert out.splitlines()[0] == "order 3"
 
 
+def test_conj_quandle_rejects_the_empty_group(capsys, tmp_path):
+    group_file = tmp_path / "empty.group"
+    group_file.write_text("group 0\n")
+    code, out, err = run(capsys, "conj-quandle", str(group_file))
+    assert (code, out) == (1, "")
+    assert "line 1" in err and "identity at index 0" in err
+
+
 @pytest.mark.parametrize(
     "argv, element",
     [

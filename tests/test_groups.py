@@ -58,6 +58,18 @@ def test_group_validation():
         FinGroup([[0, 1, 2], [1, 2, 0], [2, 1, 0]])  # not associative / not a group
 
 
+def test_a_group_has_at_least_its_identity():
+    with pytest.raises(ValueError, match="identity at index 0"):
+        FinGroup(())
+    for n in (0, -1, -4):
+        with pytest.raises(ValueError, match=f"not {n}"):
+            cyclic_group(n)
+    with pytest.raises(FormatError) as exc:
+        parse_group("# no elements\ngroup 0\n")
+    assert exc.value.line == 2
+    assert FinGroup([[0]]).n == cyclic_group(1).n == 1
+
+
 def cubic_associativity_failure(cayley):
     """The first (a, b, c) with (a.b).c != a.(b.c), found by trying all |G|^3
     triples: the constructor's check before it used Light's test."""

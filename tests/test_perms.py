@@ -170,6 +170,12 @@ def test_checked_constructors_reject_non_permutations():
         Perm.identity(2) * Perm.identity(3)
 
 
+@pytest.mark.parametrize("cycle, point", [([5], 5), ([1, 5], 5), ([0, 3], 3), ([0, -1], -1)])
+def test_from_cycles_names_a_point_out_of_range(cycle, point):
+    with pytest.raises(ValueError, match=rf"^point {point} is not in 0\.\.2$"):
+        Perm.from_cycles(3, cycle)
+
+
 def test_derived_permutations_equal_checked_ones():
     """Products, inverses, powers and rack rows skip the check; they must
     still be the permutations the checked constructor builds."""

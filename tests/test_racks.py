@@ -239,6 +239,17 @@ def test_associated_quandle():
     assert proj == (0, 1, 2)
 
 
+def test_associated_quandle_is_a_quandle_quotient(racks_by_order):
+    # built unchecked from one representative per sigma-orbit
+    for n in range(6):
+        for r in racks_by_order[n]:
+            q, proj = associated_quandle(r)
+            assert validate_table(q.table).ok
+            assert q.is_quandle()
+            assert sorted(set(proj)) == list(range(q.n))
+            assert all(proj[r.table[a][b]] == q.table[proj[a]][proj[b]] for a in range(n) for b in range(n))
+
+
 def test_sigma_commutes_with_left_multiplications(racks_by_order):
     for n in range(5):
         for r in racks_by_order[n]:

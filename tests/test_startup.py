@@ -101,3 +101,11 @@ def test_commands_import_only_the_modules_they_run(tmp_path):
         assert "rackring.racks" in modules, argv  # the trace was read
         assert not modules & NEVER_AT_STARTUP, argv
         assert ("rackring.marks" in modules) == (argv[0] in ("marks", "color")), argv
+    # `enumerate` and `crossed` load the one module of these three that they run
+    for argv, needed, unused in (
+        (["enumerate", "--order", "3"], "rackring.enumeration", {"rackring.groups", "rackring.marks"}),
+        (["crossed", "d3.rack"], "rackring.groups", {"rackring.enumeration", "rackring.marks"}),
+    ):
+        modules = imported_modules(tmp_path, *argv)
+        assert needed in modules, argv
+        assert not modules & (unused | {"dataclasses"}), argv

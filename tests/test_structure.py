@@ -168,6 +168,12 @@ def test_ideal_enumeration_bound():
         enumerate_ideals(trivial(13))
 
 
+def test_decomposition_enumeration_bound():
+    with pytest.raises(ValueError, match="13 orbits exceeds the configured bound 12"):
+        enumerate_decompositions(trivial(13))
+    assert len(enumerate_decompositions(trivial(12))) == 2**11 - 1
+
+
 def test_profile():
     assert profile(dihedral(3)) == CycleVector({1: 1, 2: 1})
     for n in (1, 2, 4):
