@@ -18,8 +18,8 @@ from __future__ import annotations
 import struct
 from collections import Counter
 
-from .perms import Perm, PermGroup, _cycle_lengths
-from .racks import RackTable, _orbit_partition
+from .perms import Perm, PermGroup, _cycle_lengths, _orbit_partition
+from .racks import RackTable
 
 MAX_DEGREE = 65535  # two bytes per table entry in the serialized key
 
@@ -27,7 +27,7 @@ MAX_DEGREE = 65535  # two bytes per table entry in the serialized key
 def _initial_colors(table):
     n = len(table)
     orbit_size = [0] * n
-    for orbit in _orbit_partition(table):
+    for orbit in _orbit_partition(table, range(n)):
         for x in orbit:
             orbit_size[x] = len(orbit)
     invariants = []

@@ -12,12 +12,13 @@ is built here from checked data is wrapped unchecked (`_wrap`).
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from itertools import permutations
 
 from .canonical import automorphism_group
-from .perms import Perm, _closure, _compose
-from .racks import FormatError, RackTable, _read_header, _read_int_rows
+from .perms import Perm, _closure, _compose, _pair_table
+from .racks import FormatError, RackTable, _generators, _read_header, _read_int_rows
 
 # Largest automorphism group rack_to_crossed tabulates: 720 takes seconds, 5,040 minutes.
 MAX_CROSSED_GROUP_ORDER = 1000
@@ -49,20 +50,16 @@ class FinGroup:
             if all(self.cayley[a][b] != 0 for b in range(n)):
                 raise ValueError(f"element {a} has no inverse")
         # Light's test: the b with (a.b).c == a.(b.c) for all a, c include 0
-        # and are closed under the product, so it is enough to test generators
-        # whose right multiplications reach every element from 0.
-        rows, gens, reached = self.cayley, [], {0}
-        for b in range(n):
-            if b in reached:
-                continue
+        # and are closed under the product, so it is enough to test the greedy
+        # generators after 0 whose columns (right multiplications) reach all.
+        rows = self.cayley
+        for b in _generators(tuple(zip(*rows)))[1:]:
             row_b = rows[b]
             for a, row_a in enumerate(rows):
                 row_ab = rows[row_a[b]]
                 if row_ab != tuple(map(row_a.__getitem__, row_b)):
                     c = next(c for c in range(n) if row_ab[c] != row_a[row_b[c]])
                     raise ValueError(f"associativity fails at ({a}, {b}, {c})")
-            gens.append(b)
-            reached = set(_closure(0, gens, self.mul))
 
     @classmethod
     def _wrap(cls, cayley):
@@ -205,6 +202,7 @@ def special_linear_2(p: int, generators=None):
     element i; the identity matrix has index 0.  With no generators given,
     the full group is generated from the two standard transvections.
     """
+    _check_prime(p)
     if generators is None:
         generators = [(1, 1, 0, 1), (1, 0, 1, 1)]
     for a, b, c, d in generators:
@@ -218,6 +216,11 @@ def special_linear_2(p: int, generators=None):
 
     elements = _closure((1, 0, 0, 1), [tuple(x % p for x in m) for m in generators], mat_mul)
     return _tabulate(elements, mat_mul)[0], elements
+
+
+def _check_prime(p):
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise ValueError(f"modulus {p} is {'below 2' if p < 2 else 'not prime'}")
 
 
 def conjugation_quandle(group: FinGroup) -> RackTable:
@@ -375,13 +378,7 @@ def rack_to_crossed(r: RackTable) -> CrossedGSet:
 
 def direct_product_group(g: FinGroup, h: FinGroup) -> FinGroup:
     """G x H with (a, b) indexed as a * |H| + b."""
-    nh = h.n
-    cayley = [
-        [g.mul(a, c) * nh + h.mul(b, d) for c in range(g.n) for d in range(nh)]
-        for a in range(g.n)
-        for b in range(nh)
-    ]
-    return FinGroup._wrap(cayley)
+    return FinGroup._wrap(_pair_table(g.cayley, h.cayley))
 
 
 def crossed_sum(x: CrossedGSet, y: CrossedGSet) -> CrossedGSet:
@@ -416,8 +413,7 @@ def diagonal_product_fixed_group(x: CrossedGSet, y: CrossedGSet) -> CrossedGSet:
 
 def _pair_action(pa: Perm, pb: Perm) -> Perm:
     """pa x pb on pairs, with (p, q) indexed as p * |Y| + q."""
-    ny = pb.degree
-    return Perm._wrap(tuple(u * ny + v for u in pa.images for v in pb.images))
+    return Perm._wrap(*_pair_table([pa.images], [pb.images]))
 
 
 def is_equivalence(f, w, x: CrossedGSet, y: CrossedGSet) -> bool:
@@ -462,8 +458,10 @@ def parse_group(text: str) -> FinGroup:
 def parse_sl2(text: str):
     """Parse `sl2 <p>` plus generator matrices, one `a b c d` per line."""
     header_lineno, p, lines = _read_header(text, "sl2", "p", "prime")
-    if p < 2:
-        raise FormatError(f"modulus {p} is below 2", header_lineno)
+    try:
+        _check_prime(p)
+    except ValueError as exc:
+        raise FormatError(str(exc), header_lineno) from None
     matrices = []
     for lineno, line in lines:
         try:

@@ -15,7 +15,8 @@ from collections import namedtuple
 
 from .burnside import BurnsideElement, BurnsideRing
 from .canonical import _extend, _table_constraints, automorphism_group, canonical_key, key_order, key_table
-from .racks import FormatError, RackTable, _orbit_partition, _read_header
+from .perms import _orbit_partition
+from .racks import FormatError, RackTable, _read_header
 from .structure import is_connected
 
 
@@ -28,7 +29,7 @@ def enumerate_morphisms(c: RackTable, r: RackTable) -> list:
 
 def _orbit_weighted(constraints, target):
     """(f, |O|) for each map f with f(0) least in its inner orbit O."""
-    orbits = _orbit_partition(target) if constraints else [(None,)]  # no point 0: the one empty map
+    orbits = _orbit_partition(target, range(len(target))) if constraints else [(None,)]  # no point 0: the one empty map
     return ((f, len(orbit)) for orbit in orbits for f in _extend(constraints, target, orbit[0]))
 
 
@@ -127,14 +128,16 @@ def trefoil_presentation() -> PresentedQuandle:
 
 
 def colorings(p: PresentedQuandle, r: RackTable) -> int:
-    """Number of generator assignments into r satisfying every relation."""
-    constraints = [[] for _ in range(p.generators)]
+    """Number of generator assignments into r satisfying every relation.  The
+    search sees only the generators in relations; each other one adds a factor |r|."""
+    index = {x: k for k, x in enumerate(sorted({x for _, *relation in p.relations for x in relation}))}
+    constraints = [[] for _ in index]
     for kind, i, j, m in p.relations:
         # i rdinv j = m holds exactly when i rd m = j
-        relation = (i, j, m) if kind == "apply" else (i, m, j)
+        relation = (index[i], index[j], index[m]) if kind == "apply" else (index[i], index[m], index[j])
         for x in {relation[0], relation[1]}:
             constraints[x].append(relation)
-    return sum(weight for _, weight in _orbit_weighted(constraints, r.table))
+    return r.n ** (p.generators - len(index)) * sum(weight for _, weight in _orbit_weighted(constraints, r.table))
 
 
 def parse_presentation(text: str) -> PresentedQuandle:

@@ -122,6 +122,13 @@ def _compose(p, q):
     return tuple(map(p.__getitem__, q))
 
 
+def _pair_table(rows, others):
+    """Image tuples of the maps (x, y) -> (row[x], other[y]) on pairs, rows
+    outermost, with (x, y) indexed as x * m + y, m the length of the others."""
+    m = len(others[0]) if others else 0
+    return [tuple(x * m + y for x in row for y in other) for row in rows for other in others]
+
+
 def _invert(images):
     """Image tuple of the inverse permutation."""
     inv = [0] * len(images)
@@ -177,26 +184,20 @@ def centralizer_order_in_sym(p: Perm) -> int:
     return out
 
 
-def _union_find(points, pairs):
-    """Classes of the equivalence on `points` that the pairs generate, as
-    sorted tuples ordered by least element."""
-    parent = {x: x for x in points}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for x, y in pairs:
-        if x != y:
-            i, j = find(x), find(y)
-            if i != j:
-                parent[max(i, j)] = min(i, j)
-    classes = {}
-    for x in parent:
-        classes.setdefault(find(x), []).append(x)
-    return tuple(tuple(sorted(c)) for _, c in sorted(classes.items()))
+def _orbit_partition(images, points):
+    """Orbits of the maps with these image tuples on `points`, as sorted
+    tuples ordered by least element.  The maps must send `points` into
+    itself, and each point must reach back every point it reaches, as it
+    does under permutations."""
+    left, orbits = set(points), []
+    while left:
+        orbit = frontier = {min(left)}
+        while frontier:
+            frontier = {image[y] for y in frontier for image in images} - orbit
+            orbit |= frontier
+        left -= orbit
+        orbits.append(tuple(sorted(orbit)))
+    return tuple(orbits)
 
 
 class PermGroup:
@@ -290,8 +291,7 @@ class PermGroup:
 
     def orbits(self):
         """Orbit partition of {0..n-1}: sorted orbits, ordered by least element."""
-        points = range(self.degree)
-        return _union_find(points, ((i, g(i)) for g in self.generators for i in points))
+        return _orbit_partition([g.images for g in self.generators], range(self.degree))
 
     def is_transitive(self):
         return self.degree >= 1 and len(self.orbits()) == 1

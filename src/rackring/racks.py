@@ -12,7 +12,7 @@ import os
 from collections import namedtuple
 from operator import itemgetter
 
-from .perms import Perm, _union_find
+from .perms import Perm, _orbit_partition, _pair_table
 
 
 class InvalidRackError(ValueError):
@@ -58,7 +58,8 @@ def validate_table(rows) -> ValidationReport:
 
 
 def _generators(rows):
-    """Points taken greedily until the rows of those taken reach every point."""
+    """Points taken greedily until the rows of those taken reach every point:
+    the rack test's rows, and Light's test's columns of a Cayley table."""
     reached, gens = set(), []
     for x in range(len(rows)):
         if x not in reached:
@@ -212,14 +213,7 @@ def dihedral(n: int) -> RackTable:
 
 def product(r: RackTable, s: RackTable) -> RackTable:
     """Componentwise rack on pairs; (a, b) is indexed as a * |s| + b."""
-    ns = s.n
-    rows = []
-    for a in range(r.n):
-        for b in range(ns):
-            rows.append(
-                tuple(r.table[a][c] * ns + s.table[b][d] for c in range(r.n) for d in range(ns))
-            )
-    return RackTable._wrap(rows)
+    return RackTable._wrap(_pair_table(r.table, s.table))
 
 
 def disjoint_union(r: RackTable, s: RackTable) -> RackTable:
@@ -238,34 +232,20 @@ def disjoint_union(r: RackTable, s: RackTable) -> RackTable:
 
 def is_subrack(r: RackTable, subset) -> bool:
     """True when every element of the subset maps the subset onto itself."""
-    subset = set(subset)
-    if not all(0 <= x < r.n for x in subset):
-        raise ValueError("subset index out of range")
-    return all({r.table[a][b] for b in subset} == subset for a in subset)
+    return _maps_onto_itself(r, subset, ideal=False)
 
 
 def is_ideal(r: RackTable, subset) -> bool:
     """True when every element of the rack maps the subset onto itself."""
+    return _maps_onto_itself(r, subset, ideal=True)
+
+
+def _maps_onto_itself(r, subset, ideal):
+    """True when every element of the rack (`ideal`) or of the subset maps the subset onto itself."""
     subset = set(subset)
     if not all(0 <= x < r.n for x in subset):
         raise ValueError("subset index out of range")
-    return all({r.table[a][b] for b in subset} == subset for a in range(r.n))
-
-
-def _orbit_partition(table, indices=None):
-    """Orbits of the rows' action, as sorted tuples ordered by least element
-    (`indices`, when given, must be closed under its own rows)."""
-    if indices is None:
-        indices = range(len(table))
-    rows, left, orbits = [table[a] for a in indices], set(indices), []
-    while left:
-        orbit = frontier = {min(left)}
-        while frontier:
-            frontier = {row[y] for y in frontier for row in rows} - orbit
-            orbit |= frontier
-        left -= orbit
-        orbits.append(tuple(sorted(orbit)))
-    return tuple(orbits)
+    return all({r.table[a][b] for b in subset} == subset for a in (range(r.n) if ideal else subset))
 
 
 def inner_fixed_points(r: RackTable) -> tuple:
@@ -291,7 +271,7 @@ def associated_quandle(r: RackTable):
     so one representative per orbit gives the quotient, always a quandle.
     """
     sigma = r.canonical_automorphism()
-    orbits = _union_find(range(r.n), ((x, sigma(x)) for x in range(r.n)))
+    orbits = _orbit_partition([sigma.images], range(r.n))
     index = {x: i for i, orbit in enumerate(orbits) for x in orbit}
     projection = tuple(index[x] for x in range(r.n))
     reps = [orbit[0] for orbit in orbits]

@@ -12,8 +12,8 @@ from collections import namedtuple
 
 from .canonical import _canonical_search
 from .cycles import CycleVector
-from .perms import PermGroup, _union_find
-from .racks import RackTable, _orbit_partition
+from .perms import PermGroup, _orbit_partition
+from .racks import RackTable
 
 MAX_ORBITS_FOR_IDEALS = 12
 
@@ -24,7 +24,7 @@ def inner_group(r: RackTable) -> PermGroup:
 
 
 def inn_orbits(r: RackTable) -> tuple:
-    return _orbit_partition(r.table)
+    return _orbit_partition(r.table, range(r.n))
 
 
 def is_connected(r: RackTable) -> bool:
@@ -38,15 +38,14 @@ def is_homogeneous(r: RackTable) -> bool:
     if r.n == 0:
         return False
     _, _, auts = _canonical_search(r.table)
-    points = range(r.n)
-    return len(_union_find(points, ((x, g[x]) for g in auts for x in points))) == 1
+    return len(_orbit_partition(auts, range(r.n))) == 1
 
 
 def irreducible_components(r: RackTable) -> tuple:
-    """Finest partition with a ~ b whenever a |> b != b or b |> a != a."""
-    t = r.table
-    points = range(r.n)
-    return _union_find(points, ((a, b) for a in points for b in points if t[a][b] != b or t[b][a] != a))
+    """Finest partition with a ~ b whenever a |> b != b or b |> a != a: the
+    orbits of the maps, one per a, that send each b ~ a to a and fix the rest."""
+    t, points = r.table, range(r.n)
+    return _orbit_partition([[a if t[a][b] != b or t[b][a] != a else b for b in points] for a in points], points)
 
 
 def is_irreducible(r: RackTable) -> bool:
@@ -82,7 +81,7 @@ def decomposition_tree(r: RackTable) -> DecompositionTree:
         node = tuple(indices)
         if len(indices) <= 1:
             return DecompositionTree(node)
-        orbits = _orbit_partition(r.table, indices)
+        orbits = _orbit_partition([r.table[a] for a in indices], indices)
         if len(orbits) == 1:
             return DecompositionTree(node)
         return DecompositionTree(node, tuple(rec(orbit) for orbit in orbits))

@@ -264,6 +264,15 @@ def test_color_command(capsys, tmp_path, dih3_file):
     assert code == 1 and "line 1" in err
 
 
+def test_color_command_with_many_free_generators(capsys, tmp_path):
+    pres = tmp_path / "free.qpres"
+    pres.write_text("qpres 1200\n")
+    two = tmp_path / "two.rack"
+    save_rack(trivial(2), two)
+    code, out, err = run(capsys, "color", str(pres), str(two))
+    assert (code, out, err) == (0, f"{2**1200}\n", "")
+
+
 def test_enumerate_command(capsys, tmp_path):
     emit = tmp_path / "classes"
     code, out, _ = run(
@@ -334,6 +343,12 @@ def test_coset_rack_sl2_file(capsys, tmp_path):
     sl2_file.write_text("sl2 0\n1 1 0 1\n")
     code, _, err = run(capsys, "coset-rack", str(sl2_file), "--h", "0", "--mu", "0")
     assert code == 1 and "line 1" in err
+    # Z/4 is no field: the modulus must be prime
+    sl2_file.write_text("sl2 4\n1 1 0 1\n1 0 1 1\n")
+    output = tmp_path / "sl2_4.rack"
+    code, out, err = run(capsys, "coset-rack", str(sl2_file), "--h", "0", "--mu", "0", "-o", str(output))
+    assert (code, out, err) == (1, "", "error: line 1: modulus 4 is not prime\n")
+    assert not output.exists()
 
 
 def test_conj_quandle_command(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import hashlib
+import random
 import time
 
 import pytest
@@ -39,6 +40,7 @@ from rackring import (
 )
 from rackring import inner_group
 from rackring.groups import MAX_CROSSED_GROUP_ORDER
+from rackring.racks import _generators
 from rackring.racks import FormatError
 
 
@@ -119,6 +121,77 @@ def test_associativity_check_matches_cubic_check():
                     table = [list(row) for row in group.cayley]
                     table[a][b], table[a][c] = table[a][c], table[a][b]
                     assert_associativity_verdict_matches_cubic(table)
+
+
+def greedy_light_failure(cayley):
+    """Reference: the constructor's associativity check before it took its
+    generators from `racks._generators`, with its own greedy loop that
+    re-closed the generated set after each generator.  The message of the
+    first failure, or None."""
+    from rackring.perms import _closure
+
+    n, rows, gens, reached = len(cayley), cayley, [], {0}
+    for b in range(n):
+        if b in reached:
+            continue
+        row_b = rows[b]
+        for a, row_a in enumerate(rows):
+            row_ab = rows[row_a[b]]
+            if row_ab != tuple(map(row_a.__getitem__, row_b)):
+                c = next(c for c in range(n) if row_ab[c] != row_a[row_b[c]])
+                return f"associativity fails at ({a}, {b}, {c})"
+        gens.append(b)
+        reached = set(_closure(0, gens, lambda x, g: rows[x][g]))
+    return None
+
+
+def test_light_test_matches_the_greedy_loop_it_replaced():
+    """Random tables of order <= 7 with an identity at 0 and an inverse for
+    every element: small groups, some with swapped entries, Z/2 times a
+    random table of order 3 (where the first generator may pass and a later
+    one fail), and tables filled at random, all relabelled.  FinGroup accepts
+    or rejects each with the old loop's message."""
+
+    def filled(n):
+        table = [list(range(n))] + [[a] + [rng.randrange(n) for _ in range(n - 1)] for a in range(1, n)]
+        for row in table[1:]:
+            if 0 not in row:
+                row[rng.randrange(1, n)] = 0
+        return table
+
+    rng = random.Random(20261019)
+    bases = [cyclic_group(n) for n in range(1, 8)] + [sym3(), dihedral_group(4)]
+    verdicts, late_failures = [], 0
+    for _ in range(3000):
+        kind = rng.random()
+        if kind < 0.2:
+            table = filled(rng.randrange(1, 8))
+        elif kind < 0.4:
+            t3 = filled(3)
+            table = [[2 * t3[i // 2][j // 2] + (i + j) % 2 for j in range(6)] for i in range(6)]
+        else:
+            table = [list(row) for row in rng.choice(bases).cayley]
+            n = len(table)
+            for _ in range(rng.choice((0, 0, 1, 2)) if n > 2 else 0):
+                a, b, c = rng.randrange(1, n), *rng.sample(range(1, n), 2)
+                table[a][b], table[a][c] = table[a][c], table[a][b]
+        n = len(table)
+        label = [0] + rng.sample(range(1, n), n - 1)
+        relabelled = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                relabelled[label[a]][label[b]] = label[table[a][b]]
+        table = tuple(map(tuple, relabelled))
+        expected = greedy_light_failure(table)
+        try:
+            FinGroup(table)
+        except ValueError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
+        verdicts.append(expected is None)
+        late_failures += expected is not None and int(expected.split(", ")[1]) != _generators(tuple(zip(*table)))[1]
+    assert 500 < sum(verdicts) < 2500 and late_failures > 100
 
 
 def test_group_check_of_a_large_group_is_fast():
@@ -229,6 +302,19 @@ def test_sl2_f3_construction():
     sigma = rack.canonical_automorphism()
     assert all(sigma(i) != i for i in range(8))
     assert (sigma * sigma).is_identity()
+
+
+def test_sl2_needs_a_prime_modulus():
+    for p in (4, 6, 9, 25):
+        with pytest.raises(ValueError, match=f"modulus {p} is not prime"):
+            special_linear_2(p)
+    for p in (0, 1, -3):
+        with pytest.raises(ValueError, match=f"modulus {p} is below 2"):
+            special_linear_2(p)
+    assert [special_linear_2(p)[0].n for p in (2, 3, 5)] == [6, 24, 120]
+    with pytest.raises(FormatError) as exc:
+        parse_sl2("# composite\nsl2 6\n1 x 0 1\n")  # the header fails before the entries
+    assert exc.value.line == 2 and "not prime" in str(exc.value)
 
 
 def test_sl2_file_format():

@@ -146,6 +146,15 @@ def test_orbit_weighted_colorings_of_large_targets():
         assert colorings(PresentedQuandle(0, ()), r) == 1
 
 
+def test_free_generators_are_counted_without_branching():
+    # one recursion level per generator would exceed Python's recursion limit
+    assert colorings(PresentedQuandle(1200, ()), trivial(2)) == 2**1200
+    assert colorings(PresentedQuandle(1200, ()), RackTable([])) == 0
+    trefoil = trefoil_presentation()
+    spread = tuple((kind, 500 * i, 500 * j, 500 * m) for kind, i, j, m in trefoil.relations)
+    assert colorings(PresentedQuandle(1200, spread), dihedral(3)) == 9 * 3**1197
+
+
 def test_mark_requires_connected_source(ring):
     with pytest.raises(ValueError):
         mark(trivial(2), ring.one(), ring)

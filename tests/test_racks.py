@@ -25,8 +25,9 @@ from rackring import (
     trivially_acting_part,
     validate_table,
 )
-from rackring import racks, structure
-from rackring.perms import _union_find
+from rackring import groups, perms, racks, structure
+from rackring.canonical import _canonical_search
+from rackring.perms import PermGroup, _orbit_partition
 from rackring.racks import FormatError, ValidationReport
 
 
@@ -360,26 +361,113 @@ def test_loading_a_rack_runs_no_scan(tmp_path, monkeypatch):
         assert validate_table(r.table) == ValidationReport(True)
 
 
-def _orbit_partition_by_union_find(table, indices=None):
-    """Reference: the orbits as the union-find over all n^2 pairs gave them."""
-    if indices is None:
-        indices = range(len(table))
-    return _union_find(indices, ((b, table[a][b]) for a in indices for b in indices))
+def _union_find(points, pairs):
+    """Reference: the union-find that computed every orbit partition before
+    the breadth-first `perms._orbit_partition` took its place.  Classes of
+    the equivalence on `points` that the pairs generate, as sorted tuples
+    ordered by least element."""
+    parent = {x: x for x in points}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, y in pairs:
+        if x != y:
+            i, j = find(x), find(y)
+            if i != j:
+                parent[max(i, j)] = min(i, j)
+    classes = {}
+    for x in parent:
+        classes.setdefault(find(x), []).append(x)
+    return tuple(tuple(sorted(c)) for _, c in sorted(classes.items()))
+
+
+def _orbit_partition_by_union_find(images, points):
+    """Reference: the orbits as the union-find over every pair (x, image[x]) gave them."""
+    return _union_find(points, ((x, image[x]) for image in images for x in points))
 
 
 def test_orbit_partition_matches_union_find(racks_by_order, monkeypatch):
     visited = []
 
-    def recording(table, indices=None):
-        visited.append((table, indices))
-        return racks._orbit_partition(table, indices)
+    def recording(images, points):
+        visited.append((images, points))
+        return _orbit_partition(images, points)
 
     monkeypatch.setattr(structure, "_orbit_partition", recording)
     for n in range(6):
         for r in racks_by_order[n]:
-            visited.append((r.table, None))
+            visited.append((r.table, range(n)))
             structure.decomposition_tree(r.relabel(Perm(tuple(reversed(range(n))))))
             structure.decomposition_tree(r)
-    assert sum(indices is not None and len(indices) < len(table) for table, indices in visited) > 100
-    for table, indices in visited:
-        assert racks._orbit_partition(table, indices) == _orbit_partition_by_union_find(table, indices)
+    assert sum(0 < len(points) < len(images[0]) for images, points in visited) > 100
+    for images, points in visited:
+        assert _orbit_partition(images, points) == _orbit_partition_by_union_find(images, points)
+
+
+def _racks_and_relabellings(racks_by_order):
+    for n in range(6):
+        for r in racks_by_order[n]:
+            yield r
+            yield r.relabel(Perm(tuple(reversed(range(n)))))
+
+
+def test_every_orbit_caller_matches_union_find(racks_by_order):
+    """The sigma-orbits, the inner group's orbits, the automorphism orbits and
+    the irreducible components, each against the union-find it replaced."""
+    homogeneous = 0
+    for r in _racks_and_relabellings(racks_by_order):
+        t, points = r.table, range(r.n)
+        sigma_orbits = _orbit_partition_by_union_find([r.canonical_automorphism().images], points)
+        index = {x: i for i, orbit in enumerate(sigma_orbits) for x in orbit}
+        assert associated_quandle(r)[1] == tuple(index[x] for x in points)
+        assert PermGroup(r.n, r.row_perms()).orbits() == _orbit_partition_by_union_find(t, points)
+        assert structure.inn_orbits(r) == _orbit_partition_by_union_find(t, points)
+        if r.n:
+            auts = _canonical_search(t)[2]
+            aut_orbits = _orbit_partition_by_union_find(auts, points)
+            assert _orbit_partition(auts, points) == aut_orbits
+            assert structure.is_homogeneous(r) == (len(aut_orbits) == 1)
+            homogeneous += len(aut_orbits) == 1
+        assert structure.irreducible_components(r) == _union_find(
+            points, ((a, b) for a in points for b in points if t[a][b] != b or t[b][a] != a)
+        )
+    assert homogeneous > 20
+
+
+def test_pair_table_matches_the_formulas_it_replaced(racks_by_order):
+    def old_product(r, s):
+        ns = s.n
+        return [
+            tuple(r.table[a][c] * ns + s.table[b][d] for c in range(r.n) for d in range(ns))
+            for a in range(r.n)
+            for b in range(ns)
+        ]
+
+    def old_direct_product(g, h):
+        nh = h.n
+        return [
+            [g.mul(a, c) * nh + h.mul(b, d) for c in range(g.n) for d in range(nh)]
+            for a in range(g.n)
+            for b in range(nh)
+        ]
+
+    def old_pair_action(pa, pb):
+        ny = pb.degree
+        return tuple(u * ny + v for u in pa.images for v in pb.images)
+
+    small = [r for n in range(4) for r in racks_by_order[n]]
+    for r in small:
+        for s in small:
+            assert product(r, s).table == tuple(old_product(r, s))
+            for pa in r.row_perms():
+                for pb in s.row_perms():
+                    assert groups._pair_action(pa, pb).images == old_pair_action(pa, pb)
+    group_list = [groups.cyclic_group(n) for n in (1, 2, 3, 4)] + [groups.symmetric_group(3)]
+    for g in group_list:
+        for h in group_list:
+            assert groups.direct_product_group(g, h).cayley == tuple(map(tuple, old_direct_product(g, h)))
+    assert perms._pair_table([], []) == perms._pair_table([(0,)], []) == []
