@@ -15,7 +15,7 @@ from math import isqrt
 
 from .canonical import canonical_form, canonical_key, key_table, table_bytes
 from .cycles import CycleVector, SparseVector
-from .racks import RackTable, _significant_lines, cycle_rack, product, trivial
+from .racks import FormatError, RackTable, _significant_lines, cycle_rack, product, trivial
 from .structure import connected_parts, is_connected, profile
 
 # Largest basis product BurnsideRing tabulates: (c2 x d15) x d5, of order 150,
@@ -280,18 +280,18 @@ def decode_element(text: str) -> list:
     for lineno, line in _significant_lines(text):
         parts = line.split()
         if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected `<coefficient> <hex key>`")
+            raise FormatError("expected `<coefficient> <hex key>`", lineno)
         try:
             coeff = int(parts[0])
             key = bytes.fromhex(parts[1])
         except ValueError:
-            raise ValueError(f"line {lineno}: bad coefficient or key") from None
+            raise FormatError("bad coefficient or key", lineno) from None
         try:
             table = key_table(key)
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: malformed key: {exc}") from None
+            raise FormatError(f"malformed key: {exc}", lineno) from None
         if not is_connected(table):
-            raise ValueError(f"line {lineno}: key is not a connected rack")
+            raise FormatError("key is not a connected rack", lineno)
         terms.append((coeff, table))
     return terms
 

@@ -19,7 +19,7 @@ from .burnside import (
     BurnsideElement, BurnsideRing, ClassRegistry, decode_element, format_element, register_terms, render_element,
 )
 from .canonical import canonical_form, canonical_key, find_isomorphism, table_bytes
-from .racks import FormatError, InvalidRackError, RackTable, _significant_lines, _write_text, parse_rack, save_rack
+from .racks import FormatError, InvalidRackError, _read_text, _significant_lines, _write_text, load_rack, save_rack
 from .structure import connected_parts, depth, inn_orbits, is_connected, is_irreducible, profile
 
 # the commands that run `groups`, `enumeration` and `marks` import them, so the others start faster
@@ -67,9 +67,7 @@ class Workspace:
         registry = ClassRegistry()
         ring = BurnsideRing(registry)
         if os.path.exists(self.registry_file):
-            with open(self.registry_file, encoding="utf-8") as fh:
-                text = fh.read()
-            for lineno, line in _significant_lines(text):
+            for lineno, line in _significant_lines(_read_text(self.registry_file)):
                 parts = line.split()
                 if len(parts) != 4:
                     raise FormatError("expected `<id> <order> <flags> <hex key>`", lineno)
@@ -89,9 +87,7 @@ class Workspace:
                     raise FormatError("key is not the canonical key of its rack", lineno)
             self.loaded[self.registry_file] = len(registry)
         if os.path.exists(self.products_file):
-            with open(self.products_file, encoding="utf-8") as fh:
-                text = fh.read()
-            for lineno, line in _significant_lines(text):
+            for lineno, line in _significant_lines(_read_text(self.products_file)):
                 tokens = line.split()
                 if len(tokens) < 3 or tokens[2] != "=" or len(tokens) % 2 == 0:
                     raise FormatError("expected `<hex> <hex> = [<coeff> <hex> ...]`", lineno)
@@ -159,18 +155,6 @@ def _registry_line(entry) -> str:
     return f"{entry.id} {entry.order} {'cq' if entry.quandle else 'c-'} {entry.key.hex()}"
 
 
-def _read_text(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc.strerror}", 0) from None
-
-
-def _load_rack_file(path) -> RackTable:
-    return parse_rack(_read_text(path))
-
-
 def _element_report(element, registry):
     terms = [{"coefficient": element[i], "key": registry.entry(i).key.hex()} for i in sorted(element)]
     return {"element": terms}, [render_element(element, registry)]
@@ -184,14 +168,14 @@ def _cycle_factors(vector) -> str:
 
 
 def cmd_validate(args):
-    table = _load_rack_file(args.file)
+    table = load_rack(args.file)
     kind = "quandle" if table.is_quandle() else "rack"
     report = {"valid": True, "kind": kind, "order": table.n}
     return report, [f"valid {kind}, order {table.n}"]
 
 
 def cmd_analyze(args):
-    table = _load_rack_file(args.file)
+    table = load_rack(args.file)
     try:
         homogeneous, prof = True, _cycle_factors(profile(table))
     except ValueError:  # only a homogeneous rack has a profile, and the empty one is not homogeneous
@@ -222,7 +206,7 @@ def cmd_analyze(args):
 
 
 def cmd_canon(args):
-    table = _load_rack_file(args.file)
+    table = load_rack(args.file)
     form, _ = canonical_form(table)
     key = table_bytes(form).hex()
     lines = [f"order={table.n} key={key}"]
@@ -231,8 +215,8 @@ def cmd_canon(args):
 
 
 def cmd_iso(args):
-    a = _load_rack_file(args.file_a)
-    b = _load_rack_file(args.file_b)
+    a = load_rack(args.file_a)
+    b = load_rack(args.file_b)
     witness = find_isomorphism(a, b)
     if witness is None:
         return {"isomorphic": False}, ["not isomorphic"]
@@ -240,7 +224,7 @@ def cmd_iso(args):
 
 
 def cmd_decompose(args):
-    table = _load_rack_file(args.file)
+    table = load_rack(args.file)
     parts = connected_parts(table)
     report = {"depth": depth(table), "parts": []}
     lines = []
@@ -253,7 +237,7 @@ def cmd_decompose(args):
 
 
 def cmd_burnside(args):
-    table = _load_rack_file(args.file)
+    table = load_rack(args.file)
     workspace = Workspace(args.workspace)
     with workspace.lock():
         ring = workspace.load_ring()
@@ -279,8 +263,8 @@ def cmd_mul(args):
 def cmd_marks(args):
     from .marks import census
 
-    source = _load_rack_file(args.source)
-    target = _load_rack_file(args.target)
+    source = load_rack(args.source)
+    target = load_rack(args.target)
     cen = census(source, target)
     report = {
         "mor": cen.mor,
@@ -297,7 +281,7 @@ def cmd_color(args):
     from .marks import colorings, parse_presentation
 
     presentation = parse_presentation(_read_text(args.presentation))
-    table = _load_rack_file(args.rack)
+    table = load_rack(args.rack)
     count = colorings(presentation, table)
     return {"colorings": count}, [str(count)]
 
@@ -326,13 +310,9 @@ def cmd_enumerate(args):
 
 
 def cmd_coset_rack(args):
-    from .groups import check_coset_pair, coset_rack, parse_group, parse_sl2
+    from .groups import check_coset_pair, coset_rack, parse_group
 
-    text = _read_text(args.group)
-    if text.lstrip().startswith("sl2"):
-        group, _ = parse_sl2(text)
-    else:
-        group = parse_group(text)
+    group = parse_group(_read_text(args.group))
     subgroup = tuple(int(tok) for tok in args.subgroup.split(","))
     _, strict = check_coset_pair(group, subgroup, args.mu)
     table = coset_rack(group, subgroup, args.mu)
@@ -370,7 +350,7 @@ def cmd_conj_quandle(args):
 def cmd_crossed(args):
     from .groups import crossed_to_rack, rack_to_crossed
 
-    table = _load_rack_file(args.file)
+    table = load_rack(args.file)
     crossed = rack_to_crossed(table)
     # an identical table rebuilds this action, which the identity maps make equivalent to itself
     identical = crossed_to_rack(crossed) == table

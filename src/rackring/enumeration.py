@@ -143,7 +143,6 @@ class _RowSearch:
                         self.cands[i][shape].append(p)
         self.rows = [None] * n
         self.invs = [None] * n
-        self.shape_at = [None] * n
         self.assigned = []
         self.shapes = None
 
@@ -157,29 +156,28 @@ class _RowSearch:
             self.rng.shuffle(roots)
         for shape, root in roots:
             self.shapes = [shape] if self.connected_only else [s for s in self.cands[0] if s <= shape]
-            trail = self._try_assign(0, root, shape)
+            trail = self._try_assign(0, root)
             if trail is not None:
                 self._branch(_centralizer_fixing(root, 0))
                 self._rollback(trail)
 
-    def _try_assign(self, index, row, shape):
-        """Assign `row`, of shape `shape`, and propagate conjugation
-        constraints; None on conflict.
+    def _try_assign(self, index, row):
+        """Assign `row` and propagate conjugation constraints; None on
+        conflict.
 
         `row` comes from the root layouts or the candidate lists, and a
         propagated row p.r.p^-1 at p(a), for r at a, has the cycle type of r
         and a cycle through p(a) as long as r's through a, so every row has an
-        admitted shape.  A constraint on an assigned index is checked at once,
-        and a shape unlike the row already there rejects it before the
-        conjugate is built; a constraint on a free index waits in the queue.
+        admitted shape.  A constraint on an assigned index is checked at once;
+        a constraint on a free index waits in the queue.
         """
-        rows, invs, shape_at = self.rows, self.invs, self.shape_at
+        rows, invs = self.rows, self.invs
         trail = []
-        # (index, p, r, p^-1, shape of r): the row at index is p.r.p^-1
+        # (index, p, r, p^-1): the row at index is p.r.p^-1
         identity = self.identity
-        queue = [(index, identity, row, identity, shape)]
+        queue = [(index, identity, row, identity)]
         while queue:
-            i, p, r, pi, shape = queue.pop()
+            i, p, r, pi = queue.pop()
             q = tuple(map(p.__getitem__, map(r.__getitem__, pi)))
             if rows[i] is not None:
                 if rows[i] != q:
@@ -188,21 +186,20 @@ class _RowSearch:
                 continue
             rows[i] = q
             invs[i] = qi = _invert(q)
-            shape_at[i] = shape
             self.assigned.append(i)
             trail.append(i)
             for a in self.assigned:
                 ra, ia = rows[a], invs[a]
                 j = q[a]
                 if rows[j] is None:
-                    queue.append((j, q, ra, qi, shape_at[a]))
-                elif shape_at[j] != shape_at[a] or rows[j] != tuple(map(q.__getitem__, map(ra.__getitem__, qi))):
+                    queue.append((j, q, ra, qi))
+                elif rows[j] != tuple(map(q.__getitem__, map(ra.__getitem__, qi))):
                     self._rollback(trail)
                     return None
                 j = ra[i]
                 if rows[j] is None:
-                    queue.append((j, ra, q, ia, shape))
-                elif shape_at[j] != shape or rows[j] != tuple(map(ra.__getitem__, map(q.__getitem__, ia))):
+                    queue.append((j, ra, q, ia))
+                elif rows[j] != tuple(map(ra.__getitem__, map(q.__getitem__, ia))):
                     self._rollback(trail)
                     return None
         return trail
@@ -244,7 +241,7 @@ class _RowSearch:
                     if conj == q:
                         stabilizer.append(g)
                 else:
-                    trail = self._try_assign(index, q, shape)
+                    trail = self._try_assign(index, q)
                     if trail is not None:
                         self._branch(stabilizer)
                         self._rollback(trail)

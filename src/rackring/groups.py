@@ -18,7 +18,7 @@ from itertools import permutations
 
 from .canonical import automorphism_group
 from .perms import Perm, _closure, _compose, _pair_table
-from .racks import FormatError, RackTable, _generators, _read_header, _read_int_rows
+from .racks import FormatError, RackTable, _generators, _read_header, _read_int_rows, _significant_lines
 
 # Largest automorphism group rack_to_crossed tabulates: 720 takes seconds, 5,040 minutes.
 MAX_CROSSED_GROUP_ORDER = 1000
@@ -446,7 +446,11 @@ def is_equivalence(f, w, x: CrossedGSet, y: CrossedGSet) -> bool:
 
 
 def parse_group(text: str) -> FinGroup:
-    """Parse `group <n>` followed by n Cayley rows; identity must be index 0."""
+    """Parse the group format: `group <n>` followed by n Cayley rows, with
+    the identity at index 0, or an `sl2 <p>` file (see `parse_sl2`)."""
+    first = next(_significant_lines(text), None)
+    if first is not None and first[1].split()[0] == "sl2":
+        return parse_sl2(text)[0]
     lineno, n, lines = _read_header(text, "group", "n", "order")
     rows = _read_int_rows(lineno, lines, n)
     try:

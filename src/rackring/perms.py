@@ -175,13 +175,7 @@ def _cycle_lengths(images):
 
 def centralizer_order_in_sym(p: Perm) -> int:
     """Order of the centralizer of p in the full symmetric group."""
-    counts = {}
-    for length in p.cycle_lengths():
-        counts[length] = counts.get(length, 0) + 1
-    out = 1
-    for length, count in counts.items():
-        out *= length**count * math.factorial(count)
-    return out
+    return math.prod(length**count * math.factorial(count) for length, count in p.cycle_type().items())
 
 
 def _orbit_partition(images, points):

@@ -337,8 +337,17 @@ def format_rack(r: RackTable) -> str:
 
 
 def load_rack(path) -> RackTable:
-    with open(path, encoding="utf-8") as fh:
-        return parse_rack(fh.read())
+    return parse_rack(_read_text(path))
+
+
+def _read_text(path):
+    """The text of the file at `path`; an unreadable file is a FormatError
+    that names it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc.strerror}") from None
 
 
 def _write_text(path, text):

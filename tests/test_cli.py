@@ -56,8 +56,10 @@ def test_validate(capsys, dih3_file, tmp_path):
 
 
 def test_validate_errors(capsys, tmp_path):
-    code, _, err = run(capsys, "validate", str(tmp_path / "missing.rack"))
-    assert code == 1 and "missing.rack" in err
+    missing = tmp_path / "missing.rack"
+    code, _, err = run(capsys, "validate", str(missing))
+    # an unreadable file is named, with no line number
+    assert code == 1 and err == f"error: cannot read {missing}: No such file or directory\n"
 
     bad = tmp_path / "bad.rack"
     bad.write_text("rack 2\n1 0\n0 1\n")
@@ -337,9 +339,13 @@ def test_coset_rack_sl2_file(capsys, tmp_path):
     index = {m: i for i, m in enumerate(matrices)}
     h = ",".join(str(index[(1, b, 0, 1)]) for b in range(3))
     mu = index[(2, 2, 0, 2)]
-    code, out, _ = run(capsys, "coset-rack", str(sl2_file), "--h", h, "--mu", str(mu))
+    argv = ["coset-rack", str(sl2_file), "--h", h, "--mu", str(mu)]
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out.splitlines()[0] == "order 8 quandle false centralizing true"
+    # comments and blank lines may come before the header
+    sl2_file.write_text("# SL2(F_3)\n\nsl2 3  # prime\n1 1 0 1\n1 0 1 1\n")
+    assert run(capsys, *argv) == (0, out, "")
     sl2_file.write_text("sl2 0\n1 1 0 1\n")
     code, _, err = run(capsys, "coset-rack", str(sl2_file), "--h", "0", "--mu", "0")
     assert code == 1 and "line 1" in err
@@ -362,6 +368,13 @@ def test_conj_quandle_command(capsys, tmp_path):
     code, out, _ = run(capsys, "conj-quandle", str(group_file), "--class", str(t))
     assert code == 0
     assert out.splitlines()[0] == "order 3"
+    # the group format also takes `sl2 <p>`
+    from rackring import special_linear_2
+
+    group_file.write_text("sl2 3\n")
+    table = conjugation_quandle(special_linear_2(3)[0])
+    expected = ["order 24"] + [" ".join(map(str, row)) for row in table.table]
+    assert run(capsys, "conj-quandle", str(group_file)) == (0, "\n".join(expected) + "\n", "")
 
 
 def test_conj_quandle_rejects_the_empty_group(capsys, tmp_path):

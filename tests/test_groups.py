@@ -321,6 +321,9 @@ def test_sl2_file_format():
     text = "sl2 3\n1 1 0 1\n1 0 1 1\n"
     group, matrices = parse_sl2(text)
     assert group.n == 24
+    # the group format reads sl2 files too, also after a comment
+    for prefix in ("", "# SL2(F_3)\n\n"):
+        assert parse_group(prefix + text).cayley == group.cayley
     with pytest.raises(FormatError):
         parse_sl2("sl2 3\n1 1 0 2\n")  # determinant 2
     for p in (0, 1, -3):
