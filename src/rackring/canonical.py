@@ -18,7 +18,7 @@ from __future__ import annotations
 import struct
 from collections import Counter
 
-from .perms import Perm, PermGroup, _cycle_lengths, _orbit_partition
+from .perms import Perm, PermGroup, _cycle_lengths, _orbit_partition, _reach
 from .racks import RackTable
 
 MAX_DEGREE = 65535  # two bytes per table entry in the serialized key
@@ -130,17 +130,6 @@ def _canonical_search(table):
         gens.extend(auts[seen:])  # new transpositions move only target points
         seen = len(auts)
         tried, reached = [], set()
-
-        def close(points):
-            stack = [x for x in points if x not in reached]
-            reached.update(stack)
-            while stack:
-                x = stack.pop()
-                for g in gens:
-                    if g[x] not in reached:
-                        reached.add(g[x])
-                        stack.append(g[x])
-
         for v in target:
             if v in reached:
                 continue
@@ -152,10 +141,9 @@ def _canonical_search(table):
             seen = len(auts)
             if new:
                 gens.extend(new)
-                reached.clear()
-                close(tried)
-            else:
-                close([v])
+                reached = _reach(gens, tried)
+            else:  # reached is a union of orbits, and v lies in none of them
+                reached |= _reach(gens, [v])
 
     if n == 0:
         return (), [], []
@@ -166,8 +154,6 @@ def _canonical_search(table):
 def canonical_form(r: RackTable):
     """Canonical representative and the relabeling that reaches it."""
     n = r.n
-    if n == 0:
-        return r, Perm.identity(0)
     flat, label, _ = _canonical_search(r.table)
     rows = [flat[a * n : (a + 1) * n] for a in range(n)]
     return RackTable._wrap(rows), Perm._wrap(tuple(label))
@@ -207,9 +193,7 @@ def key_table(key: bytes) -> RackTable:
 
 
 def are_isomorphic(a: RackTable, b: RackTable) -> bool:
-    if a.n != b.n:
-        return False
-    return canonical_key(a) == canonical_key(b)
+    return find_isomorphism(a, b) is not None
 
 
 def find_isomorphism(a: RackTable, b: RackTable):

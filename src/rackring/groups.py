@@ -17,7 +17,7 @@ from collections import namedtuple
 from itertools import permutations
 
 from .canonical import automorphism_group
-from .perms import Perm, _closure, _compose, _pair_table
+from .perms import Perm, _closure, _compose, _orbit_partition, _pair_table
 from .racks import FormatError, RackTable, _generators, _read_header, _read_int_rows, _significant_lines
 
 # Largest automorphism group rack_to_crossed tabulates: 720 takes seconds, 5,040 minutes.
@@ -108,15 +108,13 @@ class FinGroup:
         return tuple(x for x in range(self.n) if self.mul(x, g) == self.mul(g, x))
 
     def conjugacy_classes(self) -> tuple:
-        seen = set()
-        classes = []
-        for x in range(self.n):
-            if x in seen:
-                continue
-            cls = {self.conj(g, x) for g in range(self.n)}
-            seen |= cls
-            classes.append(tuple(sorted(cls)))
-        return tuple(sorted(classes))
+        """Orbits of conjugation by the greedy generators of Light's test."""
+        c = self.cayley
+        conjugations = []
+        for g in _generators(tuple(zip(*c)))[1:]:
+            g_inv = c[g].index(0)
+            conjugations.append(tuple(c[gx][g_inv] for gx in c[g]))
+        return _orbit_partition(conjugations, range(self.n))
 
     def normal_core(self, subgroup) -> tuple:
         """Intersection of all conjugates of the subgroup."""
@@ -126,17 +124,9 @@ class FinGroup:
         return tuple(sorted(core))
 
     def left_cosets(self, subgroup) -> list:
-        """Left cosets as sorted tuples, ordered by least element."""
-        subgroup = set(subgroup)
-        seen = set()
-        cosets = []
-        for a in range(self.n):
-            if a in seen:
-                continue
-            coset = tuple(sorted(self.mul(a, h) for h in subgroup))
-            seen |= set(coset)
-            cosets.append(coset)
-        return sorted(cosets)
+        """Left cosets as sorted tuples, ordered by least element: the orbits
+        of right multiplication by the subgroup's elements."""
+        return list(_orbit_partition([[row[h] for row in self.cayley] for h in subgroup], range(self.n)))
 
     def __repr__(self):
         return f"FinGroup(order={self.n})"
@@ -225,9 +215,9 @@ def _check_prime(p):
 
 def conjugation_quandle(group: FinGroup) -> RackTable:
     """The whole group with g |> h = g h g^(-1)."""
-    return RackTable._wrap(
-        tuple(group.conj(g, h) for h in range(group.n)) for g in range(group.n)
-    )
+    c = group.cayley
+    inv = [row.index(0) for row in c]
+    return RackTable._wrap(tuple(c[gh][inv[g]] for gh in c[g]) for g in range(group.n))
 
 
 def conjugation_class_quandle(group: FinGroup, elements) -> RackTable:

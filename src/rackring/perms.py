@@ -178,19 +178,27 @@ def centralizer_order_in_sym(p: Perm) -> int:
     return math.prod(length**count * math.factorial(count) for length, count in p.cycle_type().items())
 
 
+def _reach(images, points):
+    """The set of points that the maps with these image tuples reach from
+    `points`, `points` included."""
+    reached = frontier = set(points)
+    while frontier:
+        frontier = {image[y] for y in frontier for image in images} - reached
+        reached |= frontier
+    return reached
+
+
 def _orbit_partition(images, points):
     """Orbits of the maps with these image tuples on `points`, as sorted
     tuples ordered by least element.  The maps must send `points` into
     itself, and each point must reach back every point it reaches, as it
     does under permutations."""
-    left, orbits = set(points), []
-    while left:
-        orbit = frontier = {min(left)}
-        while frontier:
-            frontier = {image[y] for y in frontier for image in images} - orbit
-            orbit |= frontier
-        left -= orbit
-        orbits.append(tuple(sorted(orbit)))
+    seen, orbits = set(), []
+    for x in sorted(points):
+        if x not in seen:
+            orbit = _reach(images, [x])
+            seen |= orbit
+            orbits.append(tuple(sorted(orbit)))
     return tuple(orbits)
 
 
@@ -223,8 +231,7 @@ class PermGroup:
         gens = self._strong[level]
         tr = {b: Perm.identity(self.degree)}
         queue = [b]
-        while queue:
-            p = queue.pop(0)
+        for p in queue:  # the list grows while it is walked
             for g in gens:
                 q = g(p)
                 if q not in tr:

@@ -341,13 +341,15 @@ def load_rack(path) -> RackTable:
 
 
 def _read_text(path):
-    """The text of the file at `path`; an unreadable file is a FormatError
-    that names it."""
+    """The text of the file at `path`; an unreadable file, or one that is not
+    UTF-8, is a FormatError that names it."""
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"cannot read {path}: not UTF-8 (byte {exc.start})") from None
 
 
 def _write_text(path, text):

@@ -256,12 +256,16 @@ def _reference_refine(table, colors):
 
 
 @pytest.fixture(scope="module")
-def relabeled_racks_to_six_and_quandles_of_seven():
+def racks_to_six_and_quandles_of_seven():
     tables = [t for n in range(1, 7) for t in enumerate_racks(EnumerationFilter(n))]
-    tables += enumerate_racks(EnumerationFilter(7, quandle_only=True))
+    return tables + enumerate_racks(EnumerationFilter(7, quandle_only=True))
+
+
+@pytest.fixture(scope="module")
+def relabeled_racks_to_six_and_quandles_of_seven(racks_to_six_and_quandles_of_seven):
     rng = random.Random(6)
     relabeled = []
-    for t in tables:
+    for t in racks_to_six_and_quandles_of_seven:
         images = list(range(t.n))
         rng.shuffle(images)
         relabeled.append(t.relabel(Perm(images)).table)
@@ -291,6 +295,26 @@ def test_canonical_search_matches_the_reference_refine(relabeled_racks_to_six_an
     searches = [canonical._canonical_search(t) for t in tables]
     monkeypatch.setattr(canonical, "_refine", lambda table, columns, colors: _reference_refine(table, colors))
     assert [canonical._canonical_search(t) for t in tables] == searches
+
+
+def test_canonical_search_outputs_are_pinned(racks_to_six_and_quandles_of_seven, relabeled_racks_to_six_and_quandles_of_seven):
+    # digest of every (flat table, labeling, automorphisms in discovery order)
+    # as the search gave them while its pruning walked orbits with a stack
+    d3 = dihedral(3)
+    large = [product(product(d3, d3), d3), conjugation_quandle(symmetric_group(5)), trivial(40), dihedral(61)]
+    rng = random.Random(5)
+    relabeled_large = []
+    for r in large:
+        images = list(range(r.n))
+        rng.shuffle(images)
+        relabeled_large.append(r.relabel(Perm(images)).table)
+    tables = [r.table for r in racks_to_six_and_quandles_of_seven + large]
+    tables += relabeled_racks_to_six_and_quandles_of_seven + relabeled_large
+    assert len(tables) == 1514
+    digest = hashlib.sha256()
+    for table in tables:
+        digest.update(repr(canonical._canonical_search(table)).encode())
+    assert digest.hexdigest() == "414a05de8dc035cd45c600db9eaffe6b3c65b460a11293f522d94895e266101b"
 
 
 def test_keys_of_large_racks_are_pinned():

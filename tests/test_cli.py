@@ -72,6 +72,27 @@ def test_validate_errors(capsys, tmp_path):
     assert code == 1 and "line 3" in err
 
 
+def test_files_that_are_not_utf8_are_named(capsys, tmp_path, workspace, dih3_file):
+    rack_file = tmp_path / "latin1.rack"
+    rack_file.write_bytes(b"rack 1\n\xff\n")
+    code, out, err = run(capsys, "validate", str(rack_file))
+    assert (code, out, err) == (1, "", f"error: cannot read {rack_file}: not UTF-8 (byte 7)\n")
+
+    element_file = tmp_path / "latin1.elem"
+    element_file.write_bytes(b"\xff")
+    code, out, err = run(capsys, "--workspace", workspace, "mul", str(element_file), str(element_file))
+    assert (code, out, err) == (1, "", f"error: cannot read {element_file}: not UTF-8 (byte 0)\n")
+    assert not os.path.exists(workspace)
+
+    run(capsys, "--workspace", workspace, "burnside", dih3_file)
+    registry_file = os.path.join(workspace, "registry.txt")
+    with open(registry_file, "ab") as fh:
+        fh.write(b"\xff\n")
+    size = os.path.getsize(registry_file)
+    code, out, err = run(capsys, "--workspace", workspace, "registry")
+    assert (code, out, err) == (1, "", f"error: cannot read {registry_file}: not UTF-8 (byte {size - 2})\n")
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

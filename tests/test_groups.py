@@ -39,7 +39,7 @@ from rackring import (
     validate_table,
 )
 from rackring import inner_group
-from rackring.groups import MAX_CROSSED_GROUP_ORDER
+from rackring.groups import MAX_CROSSED_GROUP_ORDER, _tabulate
 from rackring.racks import _generators
 from rackring.racks import FormatError
 
@@ -215,6 +215,56 @@ def test_subgroup_and_centralizer():
 def test_conjugacy_classes():
     sizes = sorted(len(c) for c in sym3().conjugacy_classes())
     assert sizes == [1, 2, 3]
+
+
+def seen_set_left_cosets(group, subgroup):
+    """Reference: `FinGroup.left_cosets` as a seen-set loop, before it took
+    the orbits of right multiplication."""
+    subgroup = set(subgroup)
+    seen = set()
+    cosets = []
+    for a in range(group.n):
+        if a in seen:
+            continue
+        coset = tuple(sorted(group.mul(a, h) for h in subgroup))
+        seen |= set(coset)
+        cosets.append(coset)
+    return sorted(cosets)
+
+
+def seen_set_conjugacy_classes(group):
+    """Reference: `FinGroup.conjugacy_classes` as a seen-set loop over
+    conjugation by every element, before it took the orbits of conjugation
+    by generators."""
+    seen = set()
+    classes = []
+    for x in range(group.n):
+        if x in seen:
+            continue
+        cls = {group.conj(g, x) for g in range(group.n)}
+        seen |= cls
+        classes.append(tuple(sorted(cls)))
+    return tuple(sorted(classes))
+
+
+def test_cosets_classes_and_conjugation_quandles_match_the_references():
+    """On every subgroup generated by at most two elements: its left cosets,
+    and the conjugacy classes of the subgroup tabulated as a group; and the
+    conjugation quandle of each whole group against `FinGroup.conj`."""
+    groups = [cyclic_group(n) for n in range(1, 9)]
+    groups += [symmetric_group(3), symmetric_group(4), dihedral_group(8), dihedral_group(12)]
+    groups += [special_linear_2(p)[0] for p in (3, 5)]
+    subgroups = 0
+    for group in groups:
+        for h in sorted({group.subgroup_from((a, b)) for a in range(group.n) for b in range(a, group.n)}):
+            subgroups += 1
+            assert group.left_cosets(h) == seen_set_left_cosets(group, h)
+            sub = _tabulate(h, group.mul)[0]
+            assert sub.conjugacy_classes() == seen_set_conjugacy_classes(sub)
+        assert conjugation_quandle(group).table == tuple(
+            tuple(group.conj(g, h) for h in range(group.n)) for g in range(group.n)
+        )
+    assert subgroups == 173
 
 
 def test_normal_core():

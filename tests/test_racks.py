@@ -27,7 +27,7 @@ from rackring import (
 )
 from rackring import groups, perms, racks, structure
 from rackring.canonical import _canonical_search
-from rackring.perms import PermGroup, _orbit_partition
+from rackring.perms import PermGroup, _orbit_partition, _reach
 from rackring.racks import FormatError, ValidationReport
 
 
@@ -405,7 +405,10 @@ def test_orbit_partition_matches_union_find(racks_by_order, monkeypatch):
             structure.decomposition_tree(r)
     assert sum(0 < len(points) < len(images[0]) for images, points in visited) > 100
     for images, points in visited:
-        assert _orbit_partition(images, points) == _orbit_partition_by_union_find(images, points)
+        orbits = _orbit_partition_by_union_find(images, points)
+        assert _orbit_partition(images, points) == orbits
+        start = set(list(points)[::3])
+        assert _reach(images, start) == {x for orbit in orbits if start.intersection(orbit) for x in orbit}
 
 
 def _racks_and_relabellings(racks_by_order):
