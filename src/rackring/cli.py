@@ -336,9 +336,8 @@ def cmd_conj_quandle(args):
     if args.cls is None:
         table = conjugation_quandle(group)
     else:
-        rep = args.cls
-        _check_elements(group, [rep])
-        cls = {group.conj(g, rep) for g in range(group.n)}
+        _check_elements(group, [args.cls])
+        cls = next(c for c in group.conjugacy_classes() if args.cls in c)
         table = conjugation_class_quandle(group, cls)
     if args.output:
         save_rack(table, args.output)

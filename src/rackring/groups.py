@@ -17,7 +17,7 @@ from collections import namedtuple
 from itertools import permutations
 
 from .canonical import automorphism_group
-from .perms import Perm, _closure, _compose, _orbit_partition, _pair_table
+from .perms import Perm, _closure, _compose, _orbit_partition, _pair_table, _reach
 from .racks import FormatError, RackTable, _generators, _read_header, _read_int_rows, _significant_lines
 
 # Largest automorphism group rack_to_crossed tabulates: 720 takes seconds, 5,040 minutes.
@@ -49,17 +49,14 @@ class FinGroup:
         for a in range(n):
             if all(self.cayley[a][b] != 0 for b in range(n)):
                 raise ValueError(f"element {a} has no inverse")
-        # Light's test: the b with (a.b).c == a.(b.c) for all a, c include 0
-        # and are closed under the product, so it is enough to test the greedy
-        # generators after 0 whose columns (right multiplications) reach all.
+        # Light's test: a -> row a is a homomorphism at (a, b) iff (a.b).c == a.(b.c)
+        # for all c, and such b are closed under the product even before associativity.
         rows = self.cayley
-        for b in _generators(tuple(zip(*rows)))[1:]:
-            row_b = rows[b]
-            for a, row_a in enumerate(rows):
-                row_ab = rows[row_a[b]]
-                if row_ab != tuple(map(row_a.__getitem__, row_b)):
-                    c = next(c for c in range(n) if row_ab[c] != row_a[row_b[c]])
-                    raise ValueError(f"associativity fails at ({a}, {b}, {c})")
+        failure = _homomorphism_failure(self, rows, _compose)
+        if failure:
+            a, b = failure
+            c = next(c for c in range(n) if rows[rows[a][b]][c] != rows[a][rows[b][c]])
+            raise ValueError(f"associativity fails at ({a}, {b}, {c})")
 
     @classmethod
     def _wrap(cls, cayley):
@@ -100,28 +97,21 @@ class FinGroup:
 
     def is_subgroup(self, elements) -> bool:
         elements = set(elements)
-        if 0 not in elements:
-            return False
-        return all(self.mul(a, b) in elements for a in elements for b in elements)
+        return 0 in elements and set(self.subgroup_from(elements)) == elements
 
     def centralizer(self, g) -> tuple:
+        _check_elements(self, [g])
         return tuple(x for x in range(self.n) if self.mul(x, g) == self.mul(g, x))
 
     def conjugacy_classes(self) -> tuple:
         """Orbits of conjugation by the greedy generators of Light's test."""
-        c = self.cayley
-        conjugations = []
-        for g in _generators(tuple(zip(*c)))[1:]:
-            g_inv = c[g].index(0)
-            conjugations.append(tuple(c[gx][g_inv] for gx in c[g]))
-        return _orbit_partition(conjugations, range(self.n))
+        return _orbit_partition(list(_conjugations(self, _group_generators(self))), range(self.n))
 
     def normal_core(self, subgroup) -> tuple:
-        """Intersection of all conjugates of the subgroup."""
-        core = set(subgroup)
-        for g in range(self.n):
-            core &= {self.conj(g, h) for h in subgroup}
-        return tuple(sorted(core))
+        """Intersection of all conjugates of the subgroup: the union of the
+        conjugacy classes inside it."""
+        inside = set(subgroup).issuperset
+        return tuple(sorted(x for cls in self.conjugacy_classes() if inside(cls) for x in cls))
 
     def left_cosets(self, subgroup) -> list:
         """Left cosets as sorted tuples, ordered by least element: the orbits
@@ -133,6 +123,33 @@ class FinGroup:
 
 
 # -- constructions ----------------------------------------------------------------
+
+
+def _group_generators(group: FinGroup) -> list:
+    """Light's greedy generators after 0, whose right multiplications reach every
+    element from 0.  A property of b that holds at 0 and at each generator, and at
+    b.c whenever at b and c, holds at every b, so a check of it tries these only."""
+    return _generators(tuple(zip(*group.cayley)))[1:]
+
+
+def _homomorphism_failure(group: FinGroup, value, combine):
+    """The first (a, b), b a generator, with value[a.b] != combine(value[a], value[b]),
+    or None.  With value[0] an identity of combine, None says a -> value[a] is a
+    homomorphism: the b that pass for every a include 0 and are closed under products."""
+    for b in _group_generators(group):
+        value_b = value[b]
+        for a, row in enumerate(group.cayley):
+            if value[row[b]] != combine(value[a], value_b):
+                return a, b
+    return None
+
+
+def _conjugations(group: FinGroup, elements):
+    """For each g of the elements, the image tuple of h -> g h g^(-1)."""
+    c = group.cayley
+    for g in elements:
+        g_inv = c[g].index(0)
+        yield tuple(c[gh][g_inv] for gh in c[g])
 
 
 def _check_elements(group: FinGroup, elements):
@@ -215,22 +232,17 @@ def _check_prime(p):
 
 def conjugation_quandle(group: FinGroup) -> RackTable:
     """The whole group with g |> h = g h g^(-1)."""
-    c = group.cayley
-    inv = [row.index(0) for row in c]
-    return RackTable._wrap(tuple(c[gh][inv[g]] for gh in c[g]) for g in range(group.n))
+    return RackTable._wrap(_conjugations(group, range(group.n)))
 
 
 def conjugation_class_quandle(group: FinGroup, elements) -> RackTable:
     """A conjugation-closed subset with the conjugation operation."""
     elements = tuple(sorted(set(elements)))
     _check_elements(group, elements)
-    closed = {group.conj(g, x) for g in range(group.n) for x in elements}
-    if closed != set(elements):
+    if _reach(list(_conjugations(group, _group_generators(group))), elements) != set(elements):
         raise ValueError("the subset is not closed under conjugation")
     index = {x: i for i, x in enumerate(elements)}
-    return RackTable._wrap(
-        tuple(index[group.conj(a, b)] for b in elements) for a in elements
-    )
+    return RackTable._wrap(tuple(index[row[b]] for b in elements) for row in _conjugations(group, elements))
 
 
 # -- coset racks ---------------------------------------------------------------------
@@ -259,16 +271,10 @@ def coset_rack(group: FinGroup, subgroup, mu) -> RackTable:
     """Rack on the left cosets of the subgroup: aH |> bH = (a mu a^(-1)) bH."""
     valid, _ = check_coset_pair(group, subgroup, mu)
     if not valid:
-        raise ValueError(
-            "invalid pair: some commutator [h, mu] leaves the normal core"
-        )
+        raise ValueError("invalid pair: some commutator [h, mu] leaves the normal core")
     cosets, position = _coset_positions(group, subgroup)
-    rows = []
-    for coset in cosets:
-        a = coset[0]
-        t = group.mul(group.mul(a, mu), group.inv(a))
-        rows.append(tuple(position[group.mul(t, other[0])] for other in cosets))
-    return RackTable(rows)
+    reps = [coset[0] for coset in cosets]
+    return RackTable(tuple(position[group.mul(conj[mu], b)] for b in reps) for conj in _conjugations(group, reps))
 
 
 # -- crossed G-sets ---------------------------------------------------------------
@@ -293,20 +299,18 @@ class CrossedGSet(namedtuple("CrossedGSet", "group size action delta")):
             raise ValueError("action must give one permutation per group element")
         if len(delta) != size:
             raise ValueError("delta must give one group element per point")
-        for p in action:
-            if p.degree != size:
-                raise ValueError("action degree mismatch")
+        if any(p.degree != size for p in action):
+            raise ValueError("action degree mismatch")
         if not action[0].is_identity():
             raise ValueError("the identity must act trivially")
-        images = [p.images for p in action]
-        for a in range(group.n):
-            for b, ab in enumerate(group.cayley[a]):
-                if images[ab] != _compose(images[a], images[b]):
-                    raise ValueError(f"action is not a homomorphism at ({a}, {b})")
-        for a in range(group.n):
-            pa = action[a]
+        failure = _homomorphism_failure(group, [p.images for p in action], _compose)
+        if failure:
+            raise ValueError(f"action is not a homomorphism at {failure}")
+        gens = _group_generators(group)
+        for a, conj in zip(gens, _conjugations(group, gens)):
+            pa = action[a].images
             for x in range(size):
-                if delta[pa(x)] != group.conj(a, delta[x]):
+                if delta[pa[x]] != conj[delta[x]]:
                     raise ValueError(f"crossing is not equivariant at ({a}, {x})")
         return super().__new__(cls, group, size, action, delta)
 
@@ -332,18 +336,17 @@ def transitive_crossed(group: FinGroup, subgroup, a) -> CrossedGSet:
         Perm._wrap(tuple(position[group.mul(g, coset[0])] for coset in cosets))
         for g in range(group.n)
     )
-    delta = tuple(group.conj(coset[0], a) for coset in cosets)
+    delta = tuple(conj[a] for conj in _conjugations(group, [coset[0] for coset in cosets]))
     return CrossedGSet._wrap(group, len(cosets), action, delta)
 
 
 def transitive_crossed_iso(group: FinGroup, pair1, pair2) -> bool:
     """Conjugacy of (H, a) pairs: exists g with gHg^(-1) = K and gag^(-1) = b."""
     (h, a), (k, b) = pair1, pair2
-    hset, kset = set(h), set(k)
-    for g in range(group.n):
-        if {group.conj(g, x) for x in hset} == kset and group.conj(g, a) == b:
-            return True
-    return False
+    _check_elements(group, (*h, a, *k, b))
+    # a search for one g, not a property of every g: generators do not suffice
+    kset = set(k)
+    return any(conj[a] == b and {conj[x] for x in h} == kset for conj in _conjugations(group, range(group.n)))
 
 
 def crossed_to_rack(x: CrossedGSet) -> RackTable:
@@ -421,14 +424,12 @@ def is_equivalence(f, w, x: CrossedGSet, y: CrossedGSet) -> bool:
         return False
     if sorted(w) != list(range(y.size)):
         return False
-    for a in range(g.n):
-        for b in range(g.n):
-            if f[g.mul(a, b)] != h.mul(f[a], f[b]):
-                return False
-    for a in range(g.n):
-        for p in range(x.size):
-            if w[x.action[a](p)] != y.action[f[a]](w[p]):
-                return False
+    if _homomorphism_failure(g, f, h.mul):
+        return False
+    for a in _group_generators(g):
+        pa, pfa = x.action[a].images, y.action[f[a]].images
+        if any(w[pa[p]] != pfa[w[p]] for p in range(x.size)):
+            return False
     return all(f[x.delta[p]] == y.delta[w[p]] for p in range(x.size))
 
 

@@ -10,6 +10,7 @@ from rackring import (
     Perm,
     RackTable,
     are_isomorphic,
+    automorphism_group,
     check_coset_pair,
     conjugation_class_quandle,
     conjugation_quandle,
@@ -40,6 +41,7 @@ from rackring import (
 )
 from rackring import inner_group
 from rackring.groups import MAX_CROSSED_GROUP_ORDER, _tabulate
+from rackring.perms import _compose
 from rackring.racks import _generators
 from rackring.racks import FormatError
 
@@ -202,6 +204,15 @@ def test_group_check_of_a_large_group_is_fast():
     assert time.process_time() - start < 1.0
 
 
+def test_crossed_check_of_a_large_group_is_fast():
+    """The diagonal of d3 x d3's crossed action: 81 points over 432 elements."""
+    x = rack_to_crossed(product(dihedral(3), dihedral(3)))
+    diagonal = diagonal_product_fixed_group(x, x)
+    start = time.process_time()
+    CrossedGSet(*diagonal)
+    assert time.process_time() - start < 0.5
+
+
 def test_subgroup_and_centralizer():
     g = sym3()
     t = transpositions(g)[0]
@@ -247,24 +258,231 @@ def seen_set_conjugacy_classes(group):
     return tuple(sorted(classes))
 
 
+def all_g_normal_core(group, subgroup):
+    """Reference: `FinGroup.normal_core` as the intersection over every g of
+    gHg^(-1), before it took the conjugacy classes inside H."""
+    core = set(subgroup)
+    for g in range(group.n):
+        core &= {group.conj(g, h) for h in subgroup}
+    return tuple(sorted(core))
+
+
+def all_pairs_is_subgroup(group, elements):
+    """Reference: `FinGroup.is_subgroup` over all pairs, before it compared
+    the closure."""
+    elements = set(elements)
+    return 0 in elements and all(group.mul(a, b) in elements for a in elements for b in elements)
+
+
+def all_g_closed_under_conjugation(group, elements):
+    """Reference: `conjugation_class_quandle`'s closure test over every g,
+    before it walked the generators' conjugations."""
+    return {group.conj(g, x) for g in range(group.n) for x in elements} == set(elements)
+
+
+def all_pairs_crossed_failure(group, size, action, delta):
+    """Reference: the message of the first failure of `CrossedGSet`'s action
+    and crossing checks over all pairs, before they ran over generators, or
+    None."""
+    if not action[0].is_identity():
+        return "the identity must act trivially"
+    images = [p.images for p in action]
+    for a in range(group.n):
+        for b, ab in enumerate(group.cayley[a]):
+            if images[ab] != _compose(images[a], images[b]):
+                return f"action is not a homomorphism at ({a}, {b})"
+    for a in range(group.n):
+        for x in range(size):
+            if delta[action[a](x)] != group.conj(a, delta[x]):
+                return f"crossing is not equivariant at ({a}, {x})"
+    return None
+
+
+def all_pairs_is_equivalence(f, w, x, y):
+    """Reference: `is_equivalence` over all pairs of elements of x's group
+    and all (element, point) pairs, before it ran over generators."""
+    f, w = tuple(f), tuple(w)
+    g, h = x.group, y.group
+    if any(not 0 <= v < h.n for v in f) or f[0] != 0 or sorted(w) != list(range(y.size)):
+        return False
+    if any(f[g.mul(a, b)] != h.mul(f[a], f[b]) for a in range(g.n) for b in range(g.n)):
+        return False
+    if any(w[x.action[a](p)] != y.action[f[a]](w[p]) for a in range(g.n) for p in range(x.size)):
+        return False
+    return all(f[x.delta[p]] == y.delta[w[p]] for p in range(x.size))
+
+
+def two_generated_subgroups():
+    """(group, subgroup) for the 173 subgroups generated by at most two
+    elements of C1-C8, S3, S4, D8, D12, SL2(3) and SL2(5)."""
+    groups = [cyclic_group(n) for n in range(1, 9)]
+    groups += [symmetric_group(3), symmetric_group(4), dihedral_group(8), dihedral_group(12)]
+    groups += [special_linear_2(p)[0] for p in (3, 5)]
+    return [
+        (group, h)
+        for group in groups
+        for h in sorted({group.subgroup_from((a, b)) for a in range(group.n) for b in range(a, group.n)})
+    ]
+
+
 def test_cosets_classes_and_conjugation_quandles_match_the_references():
     """On every subgroup generated by at most two elements: its left cosets,
     and the conjugacy classes of the subgroup tabulated as a group; and the
     conjugation quandle of each whole group against `FinGroup.conj`."""
-    groups = [cyclic_group(n) for n in range(1, 9)]
-    groups += [symmetric_group(3), symmetric_group(4), dihedral_group(8), dihedral_group(12)]
-    groups += [special_linear_2(p)[0] for p in (3, 5)]
-    subgroups = 0
-    for group in groups:
-        for h in sorted({group.subgroup_from((a, b)) for a in range(group.n) for b in range(a, group.n)}):
-            subgroups += 1
-            assert group.left_cosets(h) == seen_set_left_cosets(group, h)
-            sub = _tabulate(h, group.mul)[0]
-            assert sub.conjugacy_classes() == seen_set_conjugacy_classes(sub)
+    pairs = two_generated_subgroups()
+    for group, h in pairs:
+        assert group.left_cosets(h) == seen_set_left_cosets(group, h)
+        sub = _tabulate(h, group.mul)[0]
+        assert sub.conjugacy_classes() == seen_set_conjugacy_classes(sub)
+    for group in {id(group): group for group, _ in pairs}.values():
         assert conjugation_quandle(group).table == tuple(
             tuple(group.conj(g, h) for h in range(group.n)) for g in range(group.n)
         )
-    assert subgroups == 173
+    assert len(pairs) == 173
+
+
+def test_normal_cores_and_subgroup_tests_match_the_references():
+    """On the 173 subgroups, and on each with its greatest element removed
+    and with its least missing element added."""
+    tried = 0
+    for group, h in two_generated_subgroups():
+        assert group.normal_core(h) == all_g_normal_core(group, h)
+        missing = [x for x in range(group.n) if x not in h]
+        for subset in (h, h[:-1], h + tuple(missing[:1])):
+            assert group.is_subgroup(subset) == all_pairs_is_subgroup(group, subset)
+            tried += 1
+    assert tried == 3 * 173
+
+
+def small_transitive_crossed_sets(group):
+    """Transitive crossed sets over the cyclic subgroups and the whole group,
+    with up to three centralizing crossing elements each."""
+    subgroups = sorted({group.subgroup_from([h]) for h in range(group.n)} | {tuple(range(group.n))})
+    return [
+        transitive_crossed(group, h, a)
+        for h in subgroups
+        for a in [a for a in range(group.n) if all(group.mul(a, x) == group.mul(x, a) for x in h)][:3]
+    ]
+
+
+def crossed_corpus_groups():
+    return [cyclic_group(4), cyclic_group(6), sym3(), symmetric_group(4), dihedral_group(8), special_linear_2(3)[0]]
+
+
+def test_crossed_checks_match_the_all_pairs_references():
+    """Seeded perturbations of transitive crossed sets: two images of one
+    element's action swapped, one crossing value replaced, both, or neither.
+    `CrossedGSet` accepts exactly what the reference accepts; where both
+    reject, the message has the reference's wording and names a pair that
+    fails."""
+    rng = random.Random(19)
+    cases = rejected = 0
+    for group in crossed_corpus_groups():
+        for x in small_transitive_crossed_sets(group):
+            for trial in range(12):
+                kind = trial % 4
+                images = [list(p.images) for p in x.action]
+                delta = list(x.delta)
+                if kind & 1 and x.size > 1:
+                    row = images[rng.choice((0, rng.randrange(group.n), rng.randrange(group.n)))]
+                    i, j = rng.sample(range(x.size), 2)
+                    row[i], row[j] = row[j], row[i]
+                if kind & 2:
+                    delta[rng.randrange(x.size)] = rng.randrange(group.n)
+                action = tuple(map(Perm, images))
+                expected = all_pairs_crossed_failure(group, x.size, action, delta)
+                cases += 1
+                rejected += expected is not None
+                try:
+                    CrossedGSet(group, x.size, action, tuple(delta))
+                except ValueError as exc:
+                    assert expected is not None, str(exc)
+                    message, _, pair = str(exc).partition(" at (")
+                    assert message == expected.partition(" at (")[0]
+                    if message.startswith("action"):
+                        a, b = map(int, pair.rstrip(")").split(", "))
+                        assert action[group.mul(a, b)].images != _compose(action[a].images, action[b].images)
+                    elif message.startswith("crossing"):
+                        a, p = map(int, pair.rstrip(")").split(", "))
+                        assert delta[action[a](p)] != group.conj(a, delta[p])
+                    else:
+                        assert str(exc) == expected
+                else:
+                    assert expected is None
+    assert (cases, rejected) == (1800, 1236)
+
+
+def test_is_equivalence_matches_the_all_pairs_reference():
+    """Queries from each transitive crossed set to itself and to another of
+    its size over its group, with f the identity, conjugation by some g or a
+    non-homomorphism, and w the map p -> f(k).q for k taking the base point
+    to p, with q = g.0 or at random, or a random bijection; and round trips through the rack with f the action, some with
+    two values of f or w swapped."""
+    rng = random.Random(2524)
+    queries = []
+    for group in crossed_corpus_groups():
+        transitive = small_transitive_crossed_sets(group)
+        for x in transitive:
+            moves = {}
+            for k in range(group.n):
+                moves.setdefault(x.action[k](0), k)
+            g = rng.randrange(group.n)
+            g_inv = group.inv(g)
+            swapped = list(range(group.n))
+            if group.n > 2:
+                i, j = rng.sample(range(1, group.n), 2)
+                swapped[i], swapped[j] = swapped[j], swapped[i]
+            others = [y for y in transitive if y.size == x.size and y is not x]
+            for y in [x] + rng.sample(others, min(1, len(others))):
+                for f in (list(range(group.n)), [group.mul(group.mul(g, a), g_inv) for a in range(group.n)], swapped):
+                    for q in (y.action[g](0), rng.randrange(y.size)):
+                        queries.append((f, [y.action[f[moves[p]]](q) for p in range(x.size)], x, y))
+                    queries.append((f, rng.sample(range(y.size), y.size), x, y))
+            if x.size <= 8 and automorphism_group(crossed_to_rack(x)).order() <= 48:
+                back = rack_to_crossed(crossed_to_rack(x))
+                index = {p: i for i, p in enumerate(back.action)}
+                f = [index[p] for p in x.action]
+                w = list(range(x.size))
+                queries.append((f, w, x, back))
+                if x.size > 1:
+                    i, j = rng.sample(range(x.size), 2)
+                    w[i], w[j] = w[j], w[i]
+                    queries.append((f, w, x, back))
+                if group.n > 2:
+                    i, j = rng.sample(range(1, group.n), 2)
+                    f[i], f[j] = f[j], f[i]
+                    queries.append((f, list(range(x.size)), x, back))
+    verdicts = [is_equivalence(*query) for query in queries]
+    assert verdicts == [all_pairs_is_equivalence(*query) for query in queries]
+    assert (len(verdicts), sum(verdicts)) == (2955, 469)
+
+
+def test_class_quandle_closure_test_matches_the_all_g_reference():
+    """Random subsets: unions of conjugacy classes, such unions with one
+    element added or removed, and subsets drawn at random.  The class
+    quandle is built exactly when the reference finds the subset closed."""
+    rng = random.Random(1200)
+    closed = 0
+    groups = [cyclic_group(6), sym3(), symmetric_group(4), dihedral_group(8), dihedral_group(12), special_linear_2(3)[0]]
+    for group in groups:
+        classes = group.conjugacy_classes()
+        for trial in range(200):
+            subset = {x for cls in rng.sample(classes, rng.randint(1, len(classes))) for x in cls}
+            if trial % 4 == 1:
+                subset.symmetric_difference_update({rng.randrange(group.n)})
+            elif trial % 4 == 2:
+                subset = set(rng.sample(range(group.n), rng.randint(1, group.n)))
+            expected = all_g_closed_under_conjugation(group, subset)
+            closed += expected
+            if expected:
+                elements = sorted(subset)
+                assert conjugation_class_quandle(group, subset).table == tuple(
+                    tuple(elements.index(group.conj(a, b)) for b in elements) for a in elements
+                )
+            else:
+                with pytest.raises(ValueError, match="^the subset is not closed under conjugation$"):
+                    conjugation_class_quandle(group, subset)
+    assert closed == 784
 
 
 def test_normal_core():
@@ -300,9 +518,14 @@ def test_conjugation_quandles_are_racks():
         lambda g: transitive_crossed(g, (0,), -1),
         lambda g: transitive_crossed(g, (0, 3), 0),
         lambda g: conjugation_class_quandle(g, [9]),
+        lambda g: transitive_crossed_iso(g, ((0,), -1), ((0,), 2)),
+        lambda g: transitive_crossed_iso(g, ((0,), 0), ((0, 9), 0)),
+        lambda g: g.centralizer(-1),
+        lambda g: g.is_subgroup((0, -1)),
     ],
     ids=["subgroup_from", "check_coset_pair", "coset_rack-h", "coset_rack-mu",
-         "transitive_crossed-a", "transitive_crossed-h", "conjugation_class_quandle"],
+         "transitive_crossed-a", "transitive_crossed-h", "conjugation_class_quandle",
+         "transitive_crossed_iso-a", "transitive_crossed_iso-k", "centralizer", "is_subgroup"],
 )
 def test_group_element_indices_are_range_checked(call):
     with pytest.raises(ValueError, match=r"^element -?\d+ is not in 0\.\.2$"):
@@ -597,12 +820,7 @@ def test_crossed_actions_give_valid_racks_over_small_groups():
 def assert_passes_public_checks(x):
     """The checks a crossed-action builder skips hold for what it built."""
     CrossedGSet(x.group, x.size, x.action, x.delta)
-    if x.group.n <= 100:
-        FinGroup(x.group.cayley)
-    else:
-        # FinGroup's check is cubic in the order; a faithful action that
-        # passed CrossedGSet's homomorphism check makes the table a group's.
-        assert len(set(x.action)) == x.group.n
+    FinGroup(x.group.cayley)
     assert validate_table(crossed_to_rack(x).table).ok
 
 
@@ -615,8 +833,7 @@ def test_crossed_builders_pass_the_public_checks(racks_by_order):
     built = singles + transitive
     built += [crossed_sum(x, y) for x in small for y in small]
     built += [crossed_product(x, y) for x in small for y in small]
-    # without d3 x d3 and trivial(6): their diagonals take seconds to check
-    for sets in (singles[:-2], transitive):
+    for sets in (singles, transitive):
         built += [diagonal_product_fixed_group(x, y) for x in sets for y in sets if x.group.cayley == y.group.cayley]
     for x in built:
         assert_passes_public_checks(x)
