@@ -310,12 +310,12 @@ def cmd_enumerate(args):
 
 
 def cmd_coset_rack(args):
-    from .groups import check_coset_pair, coset_rack, parse_group
+    from .groups import coset_rack, parse_group
 
     group = parse_group(_read_text(args.group))
     subgroup = tuple(int(tok) for tok in args.subgroup.split(","))
-    _, strict = check_coset_pair(group, subgroup, args.mu)
     table = coset_rack(group, subgroup, args.mu)
+    strict = set(subgroup) <= set(group.centralizer(args.mu))
     if args.output:
         save_rack(table, args.output)
     lines = [f"order {table.n} quandle {str(table.is_quandle()).lower()} centralizing {str(strict).lower()}"]
@@ -480,11 +480,13 @@ def main(argv=None) -> int:
     except (FormatError, InvalidRackError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.json:
-        print(json.dumps(report))
-    else:
-        for line in lines:
+    try:
+        for line in [json.dumps(report)] if args.json else lines:
             print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left; point stdout at devnull so the exit-time flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -22,6 +22,8 @@ from .racks import FormatError, RackTable, _generators, _read_header, _read_int_
 
 # Largest automorphism group rack_to_crossed tabulates: 720 takes seconds, 5,040 minutes.
 MAX_CROSSED_GROUP_ORDER = 1000
+# Largest |SL2(F_p)| = p(p^2 - 1) closed: p = 13 (2,184) takes ~4 s, 90 MB; p = 17 (4,896) ~18 s, 390 MB.
+MAX_SL2_ORDER = 2500
 
 
 class FinGroup:
@@ -30,7 +32,7 @@ class FinGroup:
     `FinGroup(cayley)` checks the group axioms.  Cyclic groups, tabulated
     closures and direct products skip it via `_wrap`."""
 
-    __slots__ = ("cayley",)
+    __slots__ = ("cayley", "_gens")
 
     def __init__(self, cayley):
         object.__setattr__(self, "cayley", tuple(tuple(row) for row in cayley))
@@ -128,8 +130,11 @@ class FinGroup:
 def _group_generators(group: FinGroup) -> list:
     """Light's greedy generators after 0, whose right multiplications reach every
     element from 0.  A property of b that holds at 0 and at each generator, and at
-    b.c whenever at b and c, holds at every b, so a check of it tries these only."""
-    return _generators(tuple(zip(*group.cayley)))[1:]
+    b.c whenever at b and c, holds at every b, so a check of it tries these only.
+    The scan runs once per group object; `_gens` keeps its list."""
+    if not hasattr(group, "_gens"):
+        object.__setattr__(group, "_gens", _generators(tuple(zip(*group.cayley)))[1:])
+    return group._gens
 
 
 def _homomorphism_failure(group: FinGroup, value, combine):
@@ -209,7 +214,7 @@ def special_linear_2(p: int, generators=None):
     element i; the identity matrix has index 0.  With no generators given,
     the full group is generated from the two standard transvections.
     """
-    _check_prime(p)
+    _check_modulus(p)
     if generators is None:
         generators = [(1, 1, 0, 1), (1, 0, 1, 1)]
     for a, b, c, d in generators:
@@ -225,9 +230,11 @@ def special_linear_2(p: int, generators=None):
     return _tabulate(elements, mat_mul)[0], elements
 
 
-def _check_prime(p):
+def _check_modulus(p):
     if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
         raise ValueError(f"modulus {p} is {'below 2' if p < 2 else 'not prime'}")
+    if p * (p * p - 1) > MAX_SL2_ORDER:
+        raise ValueError(f"SL2(F_{p}) has order {p * (p * p - 1)}, above the bound {MAX_SL2_ORDER}")
 
 
 def conjugation_quandle(group: FinGroup) -> RackTable:
@@ -250,31 +257,35 @@ def conjugation_class_quandle(group: FinGroup, elements) -> RackTable:
 
 def check_coset_pair(group: FinGroup, subgroup, mu) -> tuple:
     """(valid, strict): the commutator condition, and the stronger
-    requirement that mu centralizes the subgroup."""
+    requirement that mu centralizes the subgroup.  The one check of a pair."""
     subgroup = tuple(subgroup)
     _check_elements(group, subgroup + (mu,))
     if not group.is_subgroup(subgroup):
         raise ValueError("not a subgroup")
+    if all(group.mul(h, mu) == group.mul(mu, h) for h in subgroup):
+        return True, True  # every [h, mu] is 0, which lies in every core
     core = set(group.normal_core(subgroup))
-    valid = all(group.commutator(h, mu) in core for h in subgroup)
-    strict = all(group.mul(h, mu) == group.mul(mu, h) for h in subgroup)
-    return valid, strict
+    return all(group.commutator(h, mu) in core for h in subgroup), False
 
 
 def _coset_positions(group: FinGroup, subgroup):
-    """Left cosets of the subgroup, and the index of the coset of each element."""
+    """The least element of each left coset of the subgroup, and the index of
+    the coset of each element."""
     cosets = group.left_cosets(subgroup)
-    return cosets, {x: i for i, coset in enumerate(cosets) for x in coset}
+    return [coset[0] for coset in cosets], {x: i for i, coset in enumerate(cosets) for x in coset}
 
 
 def coset_rack(group: FinGroup, subgroup, mu) -> RackTable:
-    """Rack on the left cosets of the subgroup: aH |> bH = (a mu a^(-1)) bH."""
-    valid, _ = check_coset_pair(group, subgroup, mu)
-    if not valid:
+    """Rack on the left cosets of the subgroup: aH |> bH = (a mu a^(-1)) bH.
+
+    A valid pair makes aH -> a mu a^(-1) well defined; row aH is left
+    multiplication by c_a = a mu a^(-1), a bijection, and c_(a|>b) = c_a c_b c_a^(-1)
+    gives L_a L_b = L_(a|>b) L_a.  So the table is a rack and is wrapped."""
+    subgroup = tuple(subgroup)
+    if not check_coset_pair(group, subgroup, mu)[0]:
         raise ValueError("invalid pair: some commutator [h, mu] leaves the normal core")
-    cosets, position = _coset_positions(group, subgroup)
-    reps = [coset[0] for coset in cosets]
-    return RackTable(tuple(position[group.mul(conj[mu], b)] for b in reps) for conj in _conjugations(group, reps))
+    reps, position = _coset_positions(group, subgroup)
+    return RackTable._wrap(tuple(position[group.mul(conj[mu], b)] for b in reps) for conj in _conjugations(group, reps))
 
 
 # -- crossed G-sets ---------------------------------------------------------------
@@ -326,18 +337,12 @@ CrossedAction = CrossedGSet
 def transitive_crossed(group: FinGroup, subgroup, a) -> CrossedGSet:
     """Cosets of the subgroup with left translation and crossing gH -> g a g^(-1)."""
     subgroup = tuple(subgroup)
-    _check_elements(group, subgroup + (a,))
-    if not group.is_subgroup(subgroup):
-        raise ValueError("not a subgroup")
-    if any(group.mul(a, h) != group.mul(h, a) for h in subgroup):
+    if not check_coset_pair(group, subgroup, a)[1]:
         raise ValueError("the crossing element must centralize the subgroup")
-    cosets, position = _coset_positions(group, subgroup)
-    action = tuple(
-        Perm._wrap(tuple(position[group.mul(g, coset[0])] for coset in cosets))
-        for g in range(group.n)
-    )
-    delta = tuple(conj[a] for conj in _conjugations(group, [coset[0] for coset in cosets]))
-    return CrossedGSet._wrap(group, len(cosets), action, delta)
+    reps, position = _coset_positions(group, subgroup)
+    action = tuple(Perm._wrap(tuple(position[group.mul(g, r)] for r in reps)) for g in range(group.n))
+    delta = tuple(conj[a] for conj in _conjugations(group, reps))
+    return CrossedGSet._wrap(group, len(reps), action, delta)
 
 
 def transitive_crossed_iso(group: FinGroup, pair1, pair2) -> bool:
@@ -454,7 +459,7 @@ def parse_sl2(text: str):
     """Parse `sl2 <p>` plus generator matrices, one `a b c d` per line."""
     header_lineno, p, lines = _read_header(text, "sl2", "p", "prime")
     try:
-        _check_prime(p)
+        _check_modulus(p)
     except ValueError as exc:
         raise FormatError(str(exc), header_lineno) from None
     matrices = []

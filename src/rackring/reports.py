@@ -14,6 +14,7 @@ from .canonical import canonical_key
 from .enumeration import EnumerationFilter, enumerate_racks
 from .groups import (
     CrossedGSet,
+    check_coset_pair,
     crossed_to_rack,
     cyclic_group,
     diagonal_product_fixed_group,
@@ -117,11 +118,7 @@ def _small_crossed_sets(max_group_order: int = 12) -> list:
             if subgroup in seen_subgroups:
                 continue
             seen_subgroups.add(subgroup)
-            centralizing = [
-                a
-                for a in range(group.n)
-                if all(group.mul(a, h) == group.mul(h, a) for h in subgroup)
-            ]
+            centralizing = [a for a in range(group.n) if check_coset_pair(group, subgroup, a)[1]]
             for a in centralizing[:3]:
                 out.append(transitive_crossed(group, subgroup, a))
     return out

@@ -18,7 +18,6 @@ CHECKED = {"Perm", "RackTable", "FinGroup", "CrossedGSet"}
 # (module file, enclosing function, constructor) -> why the data is checked there
 ALLOWED = {
     ("canonical.py", "key_table", "RackTable"): "outside input: a key read from a registry or element file",
-    ("groups.py", "coset_rack", "RackTable"): "a precondition: the table is a rack only for a valid coset pair",
     ("groups.py", "parse_group", "FinGroup"): "outside input: a group file",
     ("racks.py", "parse_rack", "RackTable"): "outside input: a rack file",
     ("reports.py", "inner_crossed_variant_check", "CrossedGSet"): "a survey: the crossing over the inner group is what it tests",

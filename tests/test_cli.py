@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import rackring
 from rackring import (
     conjugation_quandle,
     cycle_rack,
@@ -70,6 +73,25 @@ def test_validate_errors(capsys, tmp_path):
     garbled.write_text("rack 2\n0 1\nx y\n")
     code, _, err = run(capsys, "validate", str(garbled))
     assert code == 1 and "line 3" in err
+
+
+def test_a_closed_output_pipe_exits_1_without_a_traceback(tmp_path, dih3_file):
+    """stdout is a pipe whose reader has closed: the write fails with EPIPE."""
+    env = dict(os.environ, PYTHONPATH=str(Path(rackring.__file__).parents[1]))
+    group_file = tmp_path / "sym4.group"
+    group_file.write_text(format_group(symmetric_group(4)))
+    for argv in (["validate", dih3_file], ["--json", "validate", dih3_file], ["conj-quandle", str(group_file)]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "rackring.cli", "--workspace", str(tmp_path / "ws"), *argv],
+                env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
 
 
 def test_files_that_are_not_utf8_are_named(capsys, tmp_path, workspace, dih3_file):
@@ -348,6 +370,23 @@ def test_coset_rack_command(capsys, tmp_path):
     code, out, err = run(capsys, "coset-rack", str(group_file), "--h", "0,1", "--mu", "3")
     assert (code, out) == (1, "")
     assert err == "error: invalid pair: some commutator [h, mu] leaves the normal core\n"
+
+
+def test_coset_rack_command_computes_one_normal_core(capsys, tmp_path, monkeypatch):
+    """S3 over A3 with a transposition: a valid pair that is not centralizing."""
+    from rackring.groups import FinGroup
+
+    calls = []
+    normal_core = FinGroup.normal_core
+    monkeypatch.setattr(FinGroup, "normal_core", lambda self, h: calls.append(h) or normal_core(self, h))
+    sym3 = symmetric_group(3)
+    group_file = tmp_path / "sym3.group"
+    group_file.write_text(format_group(sym3))
+    a3 = sym3.subgroup_from([next(g for g in range(6) if sym3.mul(g, g) not in (0, g))])
+    t = next(g for g in range(6) if g != 0 and sym3.mul(g, g) == 0)
+    code, out, _ = run(capsys, "coset-rack", str(group_file), "--h", ",".join(map(str, a3)), "--mu", str(t))
+    assert (code, out.splitlines()[0]) == (0, "order 2 quandle false centralizing false")
+    assert calls == [a3]
 
 
 def test_coset_rack_sl2_file(capsys, tmp_path):

@@ -40,7 +40,7 @@ from rackring import (
     validate_table,
 )
 from rackring import inner_group
-from rackring.groups import MAX_CROSSED_GROUP_ORDER, _tabulate
+from rackring.groups import MAX_CROSSED_GROUP_ORDER, MAX_SL2_ORDER, _check_elements, _tabulate
 from rackring.perms import _compose
 from rackring.racks import _generators
 from rackring.racks import FormatError
@@ -559,6 +559,118 @@ def test_coset_rack_quandle_iff_mu_in_subgroup():
     assert rack2.is_quandle()
 
 
+def three_condition_coset_pair(group, subgroup, mu):
+    """Reference: `check_coset_pair` before it returned early on a
+    centralizing mu, with all three conditions computed."""
+    subgroup = tuple(subgroup)
+    _check_elements(group, subgroup + (mu,))
+    if not group.is_subgroup(subgroup):
+        raise ValueError("not a subgroup")
+    core = set(group.normal_core(subgroup))
+    valid = all(group.commutator(h, mu) in core for h in subgroup)
+    strict = all(group.mul(h, mu) == group.mul(mu, h) for h in subgroup)
+    return valid, strict
+
+
+def checked_coset_rack(group, subgroup, mu):
+    """Reference: `coset_rack` before it wrapped its table, built through the
+    checking `RackTable(...)`."""
+    valid, _ = three_condition_coset_pair(group, subgroup, mu)
+    if not valid:
+        raise ValueError("invalid pair: some commutator [h, mu] leaves the normal core")
+    cosets = group.left_cosets(subgroup)
+    position = {x: i for i, coset in enumerate(cosets) for x in coset}
+    reps = [coset[0] for coset in cosets]
+    return RackTable(tuple(position[group.mul(group.conj(a, mu), b)] for b in reps) for a in reps)
+
+
+def own_precondition_transitive_crossed(group, subgroup, a):
+    """Reference: `transitive_crossed` with its own precondition block, before
+    it asked `check_coset_pair`, built through the checking `CrossedGSet(...)`."""
+    subgroup = tuple(subgroup)
+    _check_elements(group, subgroup + (a,))
+    if not group.is_subgroup(subgroup):
+        raise ValueError("not a subgroup")
+    if any(group.mul(a, h) != group.mul(h, a) for h in subgroup):
+        raise ValueError("the crossing element must centralize the subgroup")
+    cosets = group.left_cosets(subgroup)
+    position = {x: i for i, coset in enumerate(cosets) for x in coset}
+    action = tuple(Perm(tuple(position[group.mul(g, coset[0])] for coset in cosets)) for g in range(group.n))
+    delta = tuple(group.conj(coset[0], a) for coset in cosets)
+    return CrossedGSet(group, len(cosets), action, delta)
+
+
+def outcome(call, *args):
+    """The value of call(*args), or the message of the ValueError it raises."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_coset_pair_builders_match_the_references():
+    """Every (group, H, mu) with H generated by at most two elements of C4,
+    C6, S3, S4, D8, D12 or SL2(3), or the non-subgroup (0, 1), and every mu:
+    the pair check, the coset rack and the transitive crossed set equal the
+    references in value and message, and every valid pair's table is a rack,
+    which is what lets `coset_rack` wrap it."""
+    counts = {"strict": 0, "valid": 0, "invalid": 0, "not a subgroup": 0}
+    for group in [cyclic_group(4), cyclic_group(6), sym3(), symmetric_group(4)] + [
+        dihedral_group(8), dihedral_group(12), special_linear_2(3)[0]
+    ]:
+        subgroups = {group.subgroup_from((a, b)) for a in range(group.n) for b in range(a, group.n)}
+        for h in sorted(subgroups) + [(0, 1)]:  # (0, 1) is a subgroup of S3 and S4, tried twice there
+            for mu in range(group.n):
+                pair = outcome(check_coset_pair, group, h, mu)
+                assert pair == outcome(three_condition_coset_pair, group, h, mu)
+                rack = outcome(coset_rack, group, h, mu)
+                assert rack == outcome(checked_coset_rack, group, h, mu)
+                crossed = outcome(transitive_crossed, group, h, mu)
+                assert crossed == outcome(own_precondition_transitive_crossed, group, h, mu)
+                if isinstance(pair, str):
+                    assert pair == rack == crossed == "ValueError: not a subgroup"
+                    counts["not a subgroup"] += 1
+                    continue
+                counts["strict" if pair[1] else "valid" if pair[0] else "invalid"] += 1
+                if pair[0]:
+                    assert validate_table(rack.table).ok
+    assert counts == {"strict": 418, "valid": 208, "invalid": 828, "not a subgroup": 54}
+
+
+def test_each_group_scans_for_its_generators_once(monkeypatch):
+    """One fresh group object, wrapped or built by `FinGroup(cayley)`: its
+    classes, a normal core, a non-centralizing pair check, a crossed-set check
+    and an equivalence check share one generator scan."""
+    from rackring import groups
+
+    scans = []
+    monkeypatch.setattr(groups, "_generators", lambda rows: scans.append(1) or _generators(rows))
+    for build in (sym3, lambda: FinGroup(sym3().cayley)):
+        scans.clear()
+        g = build()
+        t = transpositions(g)[0]
+        h = g.subgroup_from([t])
+        g.conjugacy_classes()
+        g.normal_core(h)
+        assert check_coset_pair(g, h, transpositions(g)[1]) == (False, False)
+        x = transitive_crossed(g, h, t)
+        CrossedGSet(*x)
+        assert is_equivalence(range(g.n), range(x.size), x, x)
+        assert len(scans) == 1
+
+
+def test_a_centralizing_pair_needs_no_normal_core(monkeypatch):
+    calls = []
+    normal_core = FinGroup.normal_core
+    monkeypatch.setattr(FinGroup, "normal_core", lambda self, h: calls.append(h) or normal_core(self, h))
+    g = sym3()
+    t = transpositions(g)[0]
+    assert check_coset_pair(g, g.subgroup_from([t]), t) == (True, True)
+    assert calls == []
+    assert check_coset_pair(g, g.subgroup_from([t]), transpositions(g)[1]) == (False, False)
+    assert len(calls) == 1
+
+
 def test_sl2_f3_construction():
     group, matrices = special_linear_2(3)
     assert group.n == 24
@@ -588,6 +700,23 @@ def test_sl2_needs_a_prime_modulus():
     with pytest.raises(FormatError) as exc:
         parse_sl2("# composite\nsl2 6\n1 x 0 1\n")  # the header fails before the entries
     assert exc.value.line == 2 and "not prime" in str(exc.value)
+
+
+def test_sl2_order_is_bounded_before_the_closure():
+    """SL2(F_p) has p(p^2 - 1) elements and the closure may reach them all, so
+    p is refused before it runs, whatever the generators; p <= 13 is admitted."""
+    assert 13 * (13**2 - 1) <= MAX_SL2_ORDER < 17 * (17**2 - 1)
+    assert special_linear_2(13, [(1, 1, 0, 1)])[0].n == 13
+    for p, generators in ((17, None), (17, [(1, 1, 0, 1)]), (1009, None)):
+        message = rf"^SL2\(F_{p}\) has order {p * (p * p - 1)}, above the bound {MAX_SL2_ORDER}$"
+        with pytest.raises(ValueError, match=message):
+            special_linear_2(p, generators)
+    start = time.process_time()
+    with pytest.raises(FormatError) as exc:
+        parse_sl2("# a large prime\nsl2 1009\n1 1 0 1\n")
+    assert time.process_time() - start < 0.1
+    assert exc.value.line == 2
+    assert str(exc.value) == f"line 2: SL2(F_1009) has order 1027242720, above the bound {MAX_SL2_ORDER}"
 
 
 def test_sl2_file_format():
