@@ -69,17 +69,16 @@ def _refine(table, columns, colors):
             return colors
 
 
-def _is_transposition_automorphism(table, u, v):
-    n = len(table)
-    swap = list(range(n))
+def _is_transposition_automorphism(table, columns, u, v):
+    """Whether the swap (u v) is an automorphism: row v is row u conjugated by it, and every other
+    (bijective) row maps {u, v} onto itself, so a |> v = swap(a |> u).  Reads rows and columns u, v."""
+    swap = list(range(len(table)))
     swap[u], swap[v] = v, u
-    for a in range(n):
-        row = table[a]
-        srow = table[swap[a]]
-        for b in range(n):
-            if swap[row[b]] != srow[swap[b]]:
-                return False
-    return True
+    if table[v][u] != swap[table[u][v]]:  # row v at u: most failing swaps fail here, before O(n) work
+        return False
+    column = list(map(swap.__getitem__, columns[u]))
+    column[u], column[v] = columns[v][u], columns[v][v]
+    return column == list(columns[v]) and tuple(map(swap.__getitem__, map(table[u].__getitem__, swap))) == table[v]
 
 
 def _canonical_search(table):
@@ -125,7 +124,7 @@ def _canonical_search(table):
             return
         seen, u = len(auts), target[0]
         for v in target[1:]:
-            if _is_transposition_automorphism(table, u, v):
+            if _is_transposition_automorphism(table, columns, u, v):
                 found(tuple(v if x == u else u if x == v else x for x in range(n)))
         gens.extend(auts[seen:])  # new transpositions move only target points
         seen = len(auts)

@@ -283,7 +283,7 @@ def cmd_color(args):
     presentation = parse_presentation(_read_text(args.presentation))
     table = load_rack(args.rack)
     count = colorings(presentation, table)
-    return {"colorings": count}, [str(count)]
+    return {"colorings": count}, [count]
 
 
 def _emit_name(key_hex):
@@ -480,13 +480,19 @@ def main(argv=None) -> int:
     except (FormatError, InvalidRackError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, where Python has none
     try:
+        if limit:  # counts print exactly at any length; parsing the input kept the limit
+            sys.set_int_max_str_digits(0)
         for line in [json.dumps(report)] if args.json else lines:
             print(line)
         sys.stdout.flush()
     except BrokenPipeError:  # the reader left; point stdout at devnull so the exit-time flush cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 

@@ -231,7 +231,8 @@ def special_linear_2(p: int, generators=None):
 
 
 def _check_modulus(p):
-    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+    # an admitted p has p^2 <= MAX_SL2_ORDER, so a composite one has a factor at most its fourth root
+    if p < 2 or any(p % d == 0 for d in range(2, min(math.isqrt(p), math.isqrt(math.isqrt(MAX_SL2_ORDER))) + 1)):
         raise ValueError(f"modulus {p} is {'below 2' if p < 2 else 'not prime'}")
     if p * (p * p - 1) > MAX_SL2_ORDER:
         raise ValueError(f"SL2(F_{p}) has order {p * (p * p - 1)}, above the bound {MAX_SL2_ORDER}")

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import time
 from itertools import permutations
 
 import pytest
@@ -330,6 +331,63 @@ def test_keys_of_large_racks_are_pinned():
     )
     digest = hashlib.sha256(b"".join(canonical_key(r) for r in racks)).hexdigest()
     assert digest == "67c56cbd016f8fd40316894aa9f84dddf0d9ab914cc4051e4cef454fc35ff326"
+
+
+def _reference_is_transposition_automorphism(table, u, v):
+    """The definition, over all n^2 entries: swap(a |> b) = swap(a) |> swap(b)."""
+    n = len(table)
+    swap = list(range(n))
+    swap[u], swap[v] = v, u
+    for a in range(n):
+        row = table[a]
+        srow = table[swap[a]]
+        for b in range(n):
+            if swap[row[b]] != srow[swap[b]]:
+                return False
+    return True
+
+
+class _Lines(tuple):
+    """The rows or columns of a table, noting which lines are read."""
+
+    def __getitem__(self, i):
+        self.read.add(i)
+        return tuple.__getitem__(self, i)
+
+
+def test_transposition_rule_matches_the_definition(racks_by_order):
+    d3 = dihedral(3)
+    tables = [r.table for n in range(6) for r in racks_by_order[n]]
+    rng = random.Random(12)
+    for r in (trivial(12), product(cycle_rack(4), trivial(3)), product(product(d3, d3), d3), product(trivial(3), dihedral(4))):
+        images = list(range(r.n))
+        rng.shuffle(images)
+        tables.append(r.relabel(Perm(images)).table)
+    pairs = automorphic = 0
+    for table in tables:
+        rows, columns = _Lines(table), _Lines(zip(*table))
+        for u, v in permutations(range(len(table)), 2):
+            rows.read, columns.read = set(), set()
+            verdict = canonical._is_transposition_automorphism(rows, columns, u, v)
+            assert verdict == _reference_is_transposition_automorphism(table, u, v)
+            assert rows.read | columns.read <= {u, v}
+            pairs += 1
+            automorphic += verdict
+    assert (pairs, automorphic) == (2846, 460)
+
+
+def test_trivial_rack_of_order_100_keys_within_budget():
+    # The budget is in units of 495 n^2 scans of this rack, timed in the same process, so the
+    # speed of the machine cancels: keying takes about 3 units by the row rule, 16 by the scan.
+    table = trivial(100).table
+    start = time.process_time()
+    for _ in range(5):
+        for v in range(1, 100):
+            _reference_is_transposition_automorphism(table, 0, v)
+    unit = time.process_time() - start
+    start = time.process_time()
+    canonical_key(trivial(100))
+    assert time.process_time() - start < 8 * unit
 
 
 def test_order_125_product_keys_like_a_relabeling():

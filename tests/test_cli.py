@@ -318,6 +318,37 @@ def test_color_command_with_many_free_generators(capsys, tmp_path):
     assert (code, out, err) == (0, f"{2**1200}\n", "")
 
 
+def _decimal(n):
+    """str(n) past the interpreter's limit on int-to-str digits, restored afterwards."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_color_prints_counts_of_any_length(capsys, tmp_path):
+    """Printing the report lifts the limit on int-to-str digits; reading the
+    input keeps it, so a 5,000-digit header is still a bad order."""
+    pres = tmp_path / "free.qpres"
+    pres.write_text("qpres 20000\n")
+    two = tmp_path / "two.rack"
+    save_rack(trivial(2), two)
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    digits = _decimal(2**20000)
+    assert len(digits) == 6021
+    assert run(capsys, "color", str(pres), str(two)) == (0, f"{digits}\n", "")
+    assert run(capsys, "--json", "color", str(pres), str(two)) == (0, f'{{"colorings": {digits}}}\n', "")
+    assert getattr(sys, "get_int_max_str_digits", int)() == limit
+    huge = tmp_path / "huge.rack"
+    huge.write_text(f"rack {'9' * 5000}\n")
+    code, out, err = run(capsys, "color", str(pres), str(huge))
+    assert (code, out) == (1, "") and err.startswith("error: line 1: bad order '999")
+
+
 def test_enumerate_command(capsys, tmp_path):
     emit = tmp_path / "classes"
     code, out, _ = run(
@@ -623,11 +654,11 @@ def test_products_persist(capsys, tmp_path, workspace, dih3_file):
     run(capsys, "--workspace", workspace, "mul", str(element_file), str(element_file))
     products_file = os.path.join(workspace, "products.txt")
     assert os.path.exists(products_file)
-    first = open(products_file).read()
+    first = Path(products_file).read_text()
     assert first.strip()
     # reloading and re-multiplying keeps the memo stable
     run(capsys, "--workspace", workspace, "mul", str(element_file), str(element_file))
-    assert open(products_file).read() == first
+    assert Path(products_file).read_text() == first
 
     # every product key must name a registry class
     unknown = canonical_key(cycle_rack(2)).hex()
@@ -667,7 +698,7 @@ def test_unchanged_index_files_are_not_rewritten(capsys, tmp_path, workspace, di
     assert run(capsys, "--workspace", workspace, "burnside", str(other))[0] == 0
     added = inodes()
     assert added[0] != multiplied[0] and added[1] == multiplied[1]
-    assert len(open(files[0]).read().splitlines()) == 3
+    assert len(Path(files[0]).read_text().splitlines()) == 3
 
 
 def test_failed_save_keeps_workspace(capsys, monkeypatch, tmp_path, workspace, dih3_file):

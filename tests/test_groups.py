@@ -719,6 +719,20 @@ def test_sl2_order_is_bounded_before_the_closure():
     assert str(exc.value) == f"line 2: SL2(F_1009) has order 1027242720, above the bound {MAX_SL2_ORDER}"
 
 
+def test_sl2_trial_division_stops_below_the_order_bound():
+    """Trial division stops where every admitted p is decided, so a long prime
+    costs no time in sqrt(p), and a composite with no small factor is refused
+    by the order bound."""
+    p = 2**61 - 1  # a prime
+    start = time.process_time()
+    with pytest.raises(FormatError) as exc:
+        parse_sl2(f"sl2 {p}\n")
+    assert time.process_time() - start < 0.1
+    assert str(exc.value) == f"line 1: SL2(F_{p}) has order {p * (p * p - 1)}, above the bound {MAX_SL2_ORDER}"
+    with pytest.raises(ValueError, match=rf"^SL2\(F_121\) has order 1771440, above the bound {MAX_SL2_ORDER}$"):
+        special_linear_2(11 * 11)
+
+
 def test_sl2_file_format():
     text = "sl2 3\n1 1 0 1\n1 0 1 1\n"
     group, matrices = parse_sl2(text)
