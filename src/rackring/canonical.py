@@ -90,10 +90,17 @@ def _canonical_search(table):
     least leaf and its labeling, and a search that prunes only by automorphisms
     it found has found generators of the whole group (McKay & Piperno,
     Practical Graph Isomorphism II, 2014).
+
+    A leaf equal to the best gives an automorphism g that maps its path onto the
+    best leaf's, so g fixes their common prefix P and maps the child v there to
+    the explored child v*: the search jumps back to P.  The rest of branch v is
+    the g-preimage of explored leaves, so labelings do not change; Stab(P + v) =
+    g^-1 Stab(P + v*) g, whose generators branch v* found.  So an automorphism
+    found below a node fixes its prefix.
     """
     n = len(table)
     columns = tuple(zip(*table))
-    best_flat = best_label = best_verts = None
+    best_flat = best_label = best_verts = best_path = None
     auts = []  # discovered automorphisms, as image tuples, in order of discovery
     known = set()
 
@@ -102,26 +109,27 @@ def _canonical_search(table):
             known.add(g)
             auts.append(g)
 
-    def leaf(label):
+    def leaf(label, fixed):
         # a refined discrete coloring ranks the points 0..n-1: it is the labeling
-        nonlocal best_flat, best_label, best_verts
+        nonlocal best_flat, best_label, best_verts, best_path
         verts = sorted(range(n), key=label.__getitem__)
         flat = tuple([label[row[b]] for row in map(table.__getitem__, verts) for b in verts])
         if best_flat is None or flat < best_flat:
-            best_flat, best_label, best_verts = flat, label, verts
+            best_flat, best_label, best_verts, best_path = flat, label, verts, fixed
         elif flat == best_flat:
             found(tuple(best_verts[label[v]] for v in range(n)))
+            return next(i for i, (x, y) in enumerate(zip(fixed, best_path)) if x != y)
+        return len(fixed)
 
     def rec(colors, fixed, gens):
-        # gens: every automorphism found so far that fixes `fixed` pointwise
+        # gens: every automorphism found so far that fixes `fixed` pointwise; returns the depth to resume at
         colors = _refine(table, columns, colors)
         classes = {}
         for v in range(n):
             classes.setdefault(colors[v], []).append(v)
         target = next((classes[c] for c in sorted(classes) if len(classes[c]) > 1), None)
         if target is None:
-            leaf(colors)
-            return
+            return leaf(colors, fixed)
         seen, u = len(auts), target[0]
         for v in target[1:]:
             if _is_transposition_automorphism(table, columns, u, v):
@@ -134,15 +142,17 @@ def _canonical_search(table):
                 continue
             new_colors = [2 * c for c in colors]
             new_colors[v] -= 1
-            rec(new_colors, fixed + [v], [g for g in gens if g[v] == v])
+            depth = rec(new_colors, fixed + [v], [g for g in gens if g[v] == v])
+            if depth < len(fixed):
+                return depth
             tried.append(v)
-            new = [g for g in auts[seen:] if all(g[x] == x for x in fixed)]
-            seen = len(auts)
+            new, seen = auts[seen:], len(auts)  # each fixes `fixed`: see the docstring
             if new:
                 gens.extend(new)
                 reached = _reach(gens, tried)
             else:  # reached is a union of orbits, and v lies in none of them
                 reached |= _reach(gens, [v])
+        return len(fixed)
 
     if n == 0:
         return (), [], []

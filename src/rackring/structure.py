@@ -37,6 +37,8 @@ def is_homogeneous(r: RackTable) -> bool:
     The canonical search's automorphisms generate the group: no stabilizer chain."""
     if r.n == 0:
         return False
+    if is_connected(r):  # Inn(r) lies in Aut(r)
+        return True
     _, _, auts = _canonical_search(r.table)
     return len(_orbit_partition(auts, range(r.n))) == 1
 

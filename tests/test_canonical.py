@@ -33,7 +33,9 @@ from rackring import (
     trivial,
 )
 from rackring import canonical
+from rackring.canonical import _initial_colors, _is_transposition_automorphism, _refine
 from rackring.groups import conjugation_quandle
+from rackring.perms import PermGroup, _reach
 
 
 def test_key_invariant_under_all_relabelings(racks_by_order):
@@ -298,9 +300,8 @@ def test_canonical_search_matches_the_reference_refine(relabeled_racks_to_six_an
     assert [canonical._canonical_search(t) for t in tables] == searches
 
 
-def test_canonical_search_outputs_are_pinned(racks_to_six_and_quandles_of_seven, relabeled_racks_to_six_and_quandles_of_seven):
-    # digest of every (flat table, labeling, automorphisms in discovery order)
-    # as the search gave them while its pruning walked orbits with a stack
+@pytest.fixture(scope="module")
+def pinned_tables(racks_to_six_and_quandles_of_seven, relabeled_racks_to_six_and_quandles_of_seven):
     d3 = dihedral(3)
     large = [product(product(d3, d3), d3), conjugation_quandle(symmetric_group(5)), trivial(40), dihedral(61)]
     rng = random.Random(5)
@@ -312,10 +313,120 @@ def test_canonical_search_outputs_are_pinned(racks_to_six_and_quandles_of_seven,
     tables = [r.table for r in racks_to_six_and_quandles_of_seven + large]
     tables += relabeled_racks_to_six_and_quandles_of_seven + relabeled_large
     assert len(tables) == 1514
+    return tables
+
+
+def test_canonical_search_keys_are_pinned(pinned_tables):
+    # digest of every (flat table, labeling) as the search gave them before it
+    # jumped back from a leaf that proves an automorphism
     digest = hashlib.sha256()
-    for table in tables:
+    for table in pinned_tables:
+        flat, label, _ = canonical._canonical_search(table)
+        digest.update(repr((flat, label)).encode())
+    assert digest.hexdigest() == "17fc49d111fa3b3f376bf16415966af99aad7312acaa90e32a0347f89eb59b1c"
+
+
+def test_canonical_search_outputs_are_pinned(pinned_tables):
+    # digest of every (flat table, labeling, automorphisms in discovery order)
+    # as the search gives them since it jumps back from a leaf that proves an
+    # automorphism; the keys digest above did not change with the jump
+    digest = hashlib.sha256()
+    for table in pinned_tables:
         digest.update(repr(canonical._canonical_search(table)).encode())
-    assert digest.hexdigest() == "414a05de8dc035cd45c600db9eaffe6b3c65b460a11293f522d94895e266101b"
+    assert digest.hexdigest() == "ff14b3d1f8395ffa5035964d8aafc5b03834f14f27db770abdab090d196796d2"
+
+
+def _reference_canonical_search(table):
+    """The search before it jumped back from a leaf that proves an automorphism.
+
+    Return (best flat table, labeling p, automorphisms) with relabel(table, p)
+    minimal; the automorphisms are image tuples that generate the whole group.
+
+    A child is skipped when it lies in the orbit of a tried sibling under the
+    automorphisms found so far that fix the prefix pointwise.  That keeps the
+    least leaf and its labeling, and a search that prunes only by automorphisms
+    it found has found generators of the whole group (McKay & Piperno,
+    Practical Graph Isomorphism II, 2014).
+    """
+    n = len(table)
+    columns = tuple(zip(*table))
+    best_flat = best_label = best_verts = None
+    auts = []  # discovered automorphisms, as image tuples, in order of discovery
+    known = set()
+
+    def found(g):
+        if g not in known:
+            known.add(g)
+            auts.append(g)
+
+    def leaf(label):
+        # a refined discrete coloring ranks the points 0..n-1: it is the labeling
+        nonlocal best_flat, best_label, best_verts
+        verts = sorted(range(n), key=label.__getitem__)
+        flat = tuple([label[row[b]] for row in map(table.__getitem__, verts) for b in verts])
+        if best_flat is None or flat < best_flat:
+            best_flat, best_label, best_verts = flat, label, verts
+        elif flat == best_flat:
+            found(tuple(best_verts[label[v]] for v in range(n)))
+
+    def rec(colors, fixed, gens):
+        # gens: every automorphism found so far that fixes `fixed` pointwise
+        colors = _refine(table, columns, colors)
+        classes = {}
+        for v in range(n):
+            classes.setdefault(colors[v], []).append(v)
+        target = next((classes[c] for c in sorted(classes) if len(classes[c]) > 1), None)
+        if target is None:
+            leaf(colors)
+            return
+        seen, u = len(auts), target[0]
+        for v in target[1:]:
+            if _is_transposition_automorphism(table, columns, u, v):
+                found(tuple(v if x == u else u if x == v else x for x in range(n)))
+        gens.extend(auts[seen:])  # new transpositions move only target points
+        seen = len(auts)
+        tried, reached = [], set()
+        for v in target:
+            if v in reached:
+                continue
+            new_colors = [2 * c for c in colors]
+            new_colors[v] -= 1
+            rec(new_colors, fixed + [v], [g for g in gens if g[v] == v])
+            tried.append(v)
+            new = [g for g in auts[seen:] if all(g[x] == x for x in fixed)]
+            seen = len(auts)
+            if new:
+                gens.extend(new)
+                reached = _reach(gens, tried)
+            else:  # reached is a union of orbits, and v lies in none of them
+                reached |= _reach(gens, [v])
+
+    if n == 0:
+        return (), [], []
+    rec(_initial_colors(table), [], [])
+    return best_flat, best_label, auts
+
+
+def test_canonical_search_matches_the_reference_search(pinned_tables):
+    d3, d5 = dihedral(3), dihedral(5)
+    large = [product(product(d3, d3), d3), conjugation_quandle(symmetric_group(5)), dihedral(61), product(product(d5, d5), d5)]
+    rng = random.Random(22)
+    tables = list(pinned_tables)
+    for r in large:
+        images = list(range(r.n))
+        rng.shuffle(images)
+        tables.append(r.relabel(Perm(images)).table)
+    for table in tables:
+        n = len(table)
+        flat, label, auts = canonical._canonical_search(table)
+        ref_flat, ref_label, ref_auts = _reference_canonical_search(table)
+        assert (flat, label) == (ref_flat, ref_label)
+        assert len(auts) <= len(ref_auts)
+        if auts != ref_auts:  # equal lists generate equal groups: trivial(40) builds no chain of S_40
+            group, ref_group = PermGroup(n, map(Perm, auts)), PermGroup(n, map(Perm, ref_auts))
+            assert group.order() == ref_group.order()
+            if n <= 8:
+                assert set(group.elements()) == set(ref_group.elements())
 
 
 def test_keys_of_large_racks_are_pinned():
@@ -376,15 +487,20 @@ def test_transposition_rule_matches_the_definition(racks_by_order):
     assert (pairs, automorphic) == (2846, 460)
 
 
-def test_trivial_rack_of_order_100_keys_within_budget():
-    # The budget is in units of 495 n^2 scans of this rack, timed in the same process, so the
-    # speed of the machine cancels: keying takes about 3 units by the row rule, 16 by the scan.
+def _budget_unit():
+    """CPU time of 495 n^2 scans of trivial(100), timed in the calling process, so that
+    budgets in this unit cancel the speed of the machine."""
     table = trivial(100).table
     start = time.process_time()
     for _ in range(5):
         for v in range(1, 100):
             _reference_is_transposition_automorphism(table, 0, v)
-    unit = time.process_time() - start
+    return time.process_time() - start
+
+
+def test_trivial_rack_of_order_100_keys_within_budget():
+    # keying takes about 3 units by the row rule, 16 by the scan
+    unit = _budget_unit()
     start = time.process_time()
     canonical_key(trivial(100))
     assert time.process_time() - start < 8 * unit
@@ -397,3 +513,22 @@ def test_order_125_product_keys_like_a_relabeling():
     random.Random(125).shuffle(images)
     key = canonical_key(product(product(d5, d5), d5).relabel(Perm(images)))
     assert hashlib.sha256(key).hexdigest() == "7343e3fe3b5dc4df5cc3a72e8295ae469a46c275df727c656cb38bc19da02a58"
+
+
+def test_large_symmetric_products_key_like_a_relabeling_within_budget():
+    # each digest is that of the key of the product in its built labeling, as the search
+    # gave it before it jumped back from a leaf that proves an automorphism; a relabeled
+    # copy keys in about 2 (d17^2) and 3 (d3^5) units, against 50 to 120 before the jump
+    d3, d17 = dihedral(3), dihedral(17)
+    unit = _budget_unit()
+    for r, pinned in (
+        (product(d17, d17), "d454a6ef7ddfa956754e465d45452648cb05561a128844b736b26c4a31ddcc7e"),
+        (product(product(product(product(d3, d3), d3), d3), d3), "890d9da279ee76fde5f0e64e5fbfa60659b8de40ca217f02544e806774a77a0f"),
+    ):
+        images = list(range(r.n))
+        random.Random(r.n).shuffle(images)
+        relabeled = r.relabel(Perm(images))
+        start = time.process_time()
+        key = canonical_key(relabeled)
+        assert time.process_time() - start < 12 * unit
+        assert hashlib.sha256(key).hexdigest() == pinned

@@ -142,7 +142,7 @@ def test_analyze_json(capsys, dih3_file):
     assert report["orbit_sizes"] == [3]
 
 
-def test_analyze_runs_one_automorphism_search(capsys, monkeypatch, dih3_file):
+def test_analyze_runs_one_automorphism_search(capsys, monkeypatch, tmp_path, dih3_file):
     from rackring import structure
 
     calls = []
@@ -153,7 +153,12 @@ def test_analyze_runs_one_automorphism_search(capsys, monkeypatch, dih3_file):
         return search(table)
 
     monkeypatch.setattr(structure, "_canonical_search", counted)
-    code, out, _ = run(capsys, "analyze", dih3_file)
+    path = tmp_path / "r.rack"
+    save_rack(permutation_rack(Perm.from_cycles(4, [0, 1], [2, 3])), path)  # homogeneous, not connected
+    code, out, _ = run(capsys, "analyze", str(path))
+    assert code == 0 and "homogeneous: true" in out.splitlines()
+    assert len(calls) == 1
+    code, out, _ = run(capsys, "analyze", dih3_file)  # connected, so homogeneous without a search
     assert code == 0 and "homogeneous: true" in out.splitlines()
     assert len(calls) == 1
 

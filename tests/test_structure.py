@@ -2,6 +2,7 @@ import pytest
 
 from rackring import (
     CycleVector,
+    EnumerationFilter,
     Perm,
     RackTable,
     are_isomorphic,
@@ -14,6 +15,7 @@ from rackring import (
     disjoint_union,
     enumerate_decompositions,
     enumerate_ideals,
+    enumerate_racks,
     inn_orbits,
     inner_group,
     irreducible_components,
@@ -26,6 +28,9 @@ from rackring import (
     symmetric_group,
     trivial,
 )
+from rackring import structure
+from rackring.canonical import _canonical_search
+from rackring.perms import _orbit_partition
 
 
 def test_inner_group_orders():
@@ -48,6 +53,21 @@ def test_homogeneity():
     assert is_homogeneous(permutation_rack(Perm.from_cycles(4, [0, 1], [2, 3])))
     assert not is_homogeneous(permutation_rack(Perm.from_cycles(3, [0, 1])))
     assert not is_homogeneous(RackTable([]))
+
+
+def test_connected_racks_are_homogeneous_without_the_search(racks_by_order, monkeypatch):
+    # Inn(r) lies in Aut(r): the shortcut agrees with the orbits of the search's automorphisms
+    d3 = dihedral(3)
+    racks = [r for n in range(1, 6) for r in racks_by_order[n]] + enumerate_racks(EnumerationFilter(6))
+    racks.append(product(product(d3, d3), d3))
+    searched = []
+    monkeypatch.setattr(structure, "_canonical_search", lambda table: searched.append(table) or _canonical_search(table))
+    for r in racks:
+        _, _, auts = _canonical_search(r.table)
+        assert is_homogeneous(r) == (len(_orbit_partition(auts, range(r.n))) == 1)
+    connected = [r.table for r in racks if is_connected(r)]
+    assert len(connected) == 15
+    assert len(searched) == len(racks) - len(connected) and not set(searched) & set(connected)
 
 
 def test_irreducibility():
