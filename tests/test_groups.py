@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+from itertools import permutations
 
 import pytest
 
@@ -40,7 +41,7 @@ from rackring import (
     validate_table,
 )
 from rackring import inner_group
-from rackring.groups import MAX_CROSSED_GROUP_ORDER, MAX_SL2_ORDER, _check_elements, _tabulate
+from rackring.groups import MAX_CROSSED_GROUP_ORDER, MAX_SL2_ORDER, _check_elements, _tabulate, group_from_permutations
 from rackring.perms import _compose
 from rackring.racks import _generators
 from rackring.racks import FormatError
@@ -638,14 +639,15 @@ def test_coset_pair_builders_match_the_references():
 
 
 def test_each_group_scans_for_its_generators_once(monkeypatch):
-    """One fresh group object, wrapped or built by `FinGroup(cayley)`: its
+    """One fresh group object, tabulated or built by `FinGroup(cayley)`: its
     classes, a normal core, a non-centralizing pair check, a crossed-set check
-    and an equivalence check share one generator scan."""
+    and an equivalence check share one generator scan, and a tabulated group
+    needs none."""
     from rackring import groups
 
     scans = []
     monkeypatch.setattr(groups, "_generators", lambda rows: scans.append(1) or _generators(rows))
-    for build in (sym3, lambda: FinGroup(sym3().cayley)):
+    for build, expected in ((sym3, 0), (lambda: FinGroup(sym3().cayley), 1)):
         scans.clear()
         g = build()
         t = transpositions(g)[0]
@@ -656,7 +658,9 @@ def test_each_group_scans_for_its_generators_once(monkeypatch):
         x = transitive_crossed(g, h, t)
         CrossedGSet(*x)
         assert is_equivalence(range(g.n), range(x.size), x, x)
-        assert len(scans) == 1
+        assert len(scans) == expected
+    # the tabulated group brings the generators a scan of its columns finds
+    assert sym3()._gens == _generators(tuple(zip(*sym3().cayley)))[1:]
 
 
 def test_a_centralizing_pair_needs_no_normal_core(monkeypatch):
@@ -1016,3 +1020,73 @@ def test_tabulated_groups_match_pinned_digest():
     x = rack_to_crossed(product(dihedral(3), dihedral(3)))
     digest.update(repr((x.group.cayley, [g.images for g in x.action], x.delta)).encode())
     assert digest.hexdigest() == "d8b478f324c225e4e1e0a7f49874c333ae4544c40cb4d7ed1fecd4171d4f9fee"
+
+
+def _reference_tabulate(elements, mul):
+    """The n^2 table builder `_tabulate` replaced: mul on every pair."""
+    index = {x: i for i, x in enumerate(elements)}
+    return FinGroup._wrap([[index[mul(a, b)] for b in elements] for a in elements]), index
+
+
+def _sl2_mul(p):
+    def mul(x, y):
+        a, b, c, d = x
+        e, f, g, h = y
+        return ((a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p)
+
+    return mul
+
+
+def _symmetric_elements(m):
+    identity = tuple(range(m))
+    return [identity] + sorted(p for p in permutations(range(m)) if p != identity)
+
+
+def _dihedral_generators(m):
+    return [Perm.from_cycles(m, list(range(m))), Perm._wrap(tuple((-i) % m for i in range(m)))]
+
+
+def test_tabulate_matches_the_all_pairs_reference(racks_by_order):
+    """Each table builder's groups, the crossed groups of small racks and the
+    173 subgroups: the same Cayley table and index as mul on all n^2 pairs,
+    and the generators a scan of the columns finds."""
+    cases = [(_symmetric_elements(m), _compose, symmetric_group(m)) for m in range(1, 7)]
+    for m in range(1, 11):
+        group, elements = group_from_permutations(m, _dihedral_generators(m))
+        if m >= 3:
+            assert dihedral_group(2 * m).cayley == group.cayley
+        cases.append((elements, Perm.__mul__, group))
+    for p in (2, 3, 5, 7, 11):
+        group, matrices = special_linear_2(p)
+        cases.append((matrices, _sl2_mul(p), group))
+    racks = [r for n in range(1, 5) for r in racks_by_order[n]] + [product(dihedral(3), dihedral(3)), trivial(6)]
+    for rack in racks:
+        x = rack_to_crossed(rack)
+        elements = [g.images for g in x.action]
+        index = _reference_tabulate(elements, _compose)[1]
+        assert x.delta == tuple(index[row] for row in rack.table)
+        cases.append((elements, _compose, x.group))
+    for group, h in two_generated_subgroups():
+        cases.append((h, group.mul, None))
+    for elements, mul, built in cases:
+        group, index = _tabulate(elements, mul)
+        reference, reference_index = _reference_tabulate(elements, mul)
+        assert (group.cayley, index) == (reference.cayley, reference_index)
+        assert built is None or built.cayley == group.cayley
+        assert group._gens == _generators(tuple(zip(*group.cayley)))[1:]
+    assert len(cases) == 6 + 10 + 5 + len(racks) + 173
+
+
+def test_tabulate_calls_mul_only_for_generator_rows():
+    """At most n log2 n products, machine-independent: n per greedy generator,
+    and each generator at least doubles the subgroup reached."""
+    cases = [
+        (_symmetric_elements(5), _compose),
+        (special_linear_2(7)[1], _sl2_mul(7)),
+        ([g.images for g in rack_to_crossed(product(dihedral(3), dihedral(3))).action], _compose),
+    ]
+    for elements, mul in cases:
+        calls = []
+        _tabulate(elements, lambda a, b: calls.append(1) or mul(a, b))
+        n = len(elements)
+        assert len(calls) <= n * (n.bit_length() - 1)
