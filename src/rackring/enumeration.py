@@ -9,12 +9,13 @@ so that cycle is the s-orbit of a: j = 1 throughout a quandle, and a
 connected rack, whose rows are conjugate by inner automorphisms, has one
 shape.  Symmetry is cut three ways.  Row 0 takes a canonical layout for the
 largest shape of its table, so the other rows have shapes up to it, j = 1 in
-quandle searches and exactly it in connected ones.  At each free branch, a
-candidate row is tried only if it is the least of its conjugates under the
-permutations that fix every assigned index and the branch index and commute
-with every assigned row (orbit pruning in the sense of McKay, Isomorph-free
-exhaustive generation, 1998).  Every isomorphism class keeps at least one
-representative; the survivors, about four tables per class for the
+quandle searches and exactly it in connected ones.  The relabellings that
+keep the root, its centralizer fixing 0, map completions onto completions,
+and only the least completion of each orbit survives: rows are compared in
+index order as soon as both are assigned (the lex-leader rule of Crawford,
+Ginsberg, Luks and Roy, 1996, as orbit pruning in the sense of McKay,
+Isomorph-free exhaustive generation, 1998).  Every isomorphism class keeps at
+least one representative; the survivors, about 1.4 tables per class for the
 quandles of order 8, are deduplicated by canonical key.  A naive
 generate-filter-dedup oracle over all row assignments, with pairwise
 relabeling tests, cross-checks the generator at small orders.
@@ -116,11 +117,13 @@ class _RowSearch:
     successful `_try_assign` the assigned indices are closed under |>.  Each
     row, a bijection, maps that set onto itself, so no free row is pinned.
 
-    `_branch` carries `group`, the permutations other than the identity that
-    fix every assigned index and commute with every assigned row, each with
-    its inverse.  Relabelling a completion by such a c keeps the assigned
-    rows and turns the row q at a free index that c fixes into c.q.c^-1, of
-    the same shape, so only the least of those conjugates is tried.
+    A map c of the root group relabels a completion T into another,
+    (c.T)[k] = c.T[c^-1(k)].c^-1, and T survives only if T <= c.T for every
+    c, rows compared in index order.  Each pending c carries the least index
+    k at which T and c.T may differ; once rows k and c^-1(k) are assigned, a
+    smaller image prunes the node, a larger one drops c and an equal one
+    moves k on.  So the emitted tables, one per orbit, do not depend on the
+    branching order.
     """
 
     def __init__(self, filt, emit, rng=None):
@@ -145,25 +148,27 @@ class _RowSearch:
         self.invs = [None] * n
         self.assigned = []
         self.shapes = None
+        # waiting[i]: the pending maps (c, c^-1, k) whose row k of T and c.T
+        # waits on row i (k, or c^-1(k) when row k is assigned)
+        self.waiting = [[] for _ in range(n)]
 
     def run(self):
         if self.n == 0:
             self.emit(())
             return
-        roots = self.roots
-        if self.rng is not None:
-            roots = list(roots)
-            self.rng.shuffle(roots)
-        for shape, root in roots:
+        for shape, root in self._shuffled(self.roots):
             self.shapes = [shape] if self.connected_only else [s for s in self.cands[0] if s <= shape]
-            trail = self._try_assign(0, root)
-            if trail is not None:
-                self._branch(_centralizer_fixing(root, 0))
-                self._rollback(trail)
+            # the identity root's one completion, the trivial rack, is fixed by every map
+            group = _centralizer_fixing(root, 0) if root != self.identity else []
+            self.waiting[0] = [(c, ci, 0) for c, ci in group]
+            undo = self._try_assign(0, root)
+            if undo is not None:
+                self._branch()
+                self._rollback(*undo)
 
     def _try_assign(self, index, row):
-        """Assign `row` and propagate conjugation constraints; None on
-        conflict.
+        """Assign `row`, propagate conjugation constraints and settle the
+        waiting maps; the arguments of `_rollback`, or None on conflict.
 
         `row` comes from the root layouts or the candidate lists, and a
         propagated row p.r.p^-1 at p(a), for r at a, has the cycle type of r
@@ -202,49 +207,68 @@ class _RowSearch:
                 elif rows[j] != tuple(map(ra.__getitem__, map(q.__getitem__, ia))):
                     self._rollback(trail)
                     return None
-        return trail
+        merged = self._settle(trail)
+        if merged is not None:
+            return trail, merged
+        self._rollback(trail)
 
-    def _rollback(self, trail):
+    def _settle(self, trail):
+        """Move on the maps waiting on the rows in `trail`, merging each list
+        once; None if a completion would be greater than its image."""
+        rows, waiting, n = self.rows, self.waiting, self.n
+        moved = {}
+        for i in trail:
+            for c, ci, k in waiting[i]:
+                while k < n:
+                    r, s = rows[k], rows[ci[k]]
+                    if r is None or s is None:
+                        moved.setdefault(k if r is None else ci[k], []).append((c, ci, k))
+                        break
+                    image = tuple(map(c.__getitem__, map(s.__getitem__, ci)))
+                    if r != image:
+                        if r > image:
+                            return None
+                        break
+                    k += 1
+        merged = []
+        for j, maps in moved.items():
+            merged.append((j, len(waiting[j])))
+            waiting[j] += maps
+        return merged
+
+    def _rollback(self, trail, merged=()):
+        for j, size in merged:
+            del self.waiting[j][size:]
         for i in reversed(trail):
             self.rows[i] = None
             self.invs[i] = None
             self.assigned.pop()
 
-    def _branch(self, group):
+    def _shuffled(self, items):
+        if self.rng is not None:
+            items = list(items)
+            self.rng.shuffle(items)
+        return items
+
+    def _branch(self):
         rows = self.rows
         if len(self.assigned) == self.n:
             self.emit(tuple(rows))
             return
         free = [i for i in range(self.n) if rows[i] is None]
         index = free[0] if self.rng is None else self.rng.choice(free)
-        group = [g for g in group if g[0][index] == index]
-        by_shape = self.cands[index]
-        shapes = self.shapes
-        if self.rng is not None:
-            shapes = list(shapes)
-            self.rng.shuffle(shapes)
-        for shape in shapes:
-            cands = by_shape[shape]
-            if self.rng is not None:
-                cands = list(cands)
-                self.rng.shuffle(cands)
-            for q in cands:
-                # what commutes with q fixes and commutes with every row and
-                # index that propagating q assigns, which come from q and the
-                # assigned rows by conjugation
-                stabilizer = []
-                for g in group:
-                    c, ci = g
-                    conj = tuple(map(c.__getitem__, map(q.__getitem__, ci)))
-                    if conj < q:
+        # the maps that fix the branch index and agree below it test q first
+        fixing = [(c, ci) for c, ci, k in self.waiting[index] if k == index == ci[index]]
+        for shape in self._shuffled(self.shapes):
+            for q in self._shuffled(self.cands[index][shape]):
+                for c, ci in fixing:
+                    if tuple(map(c.__getitem__, map(q.__getitem__, ci))) < q:
                         break
-                    if conj == q:
-                        stabilizer.append(g)
                 else:
-                    trail = self._try_assign(index, q)
-                    if trail is not None:
-                        self._branch(stabilizer)
-                        self._rollback(trail)
+                    undo = self._try_assign(index, q)
+                    if undo is not None:
+                        self._branch()
+                        self._rollback(*undo)
 
 
 def enumerate_racks(filt: EnumerationFilter, *, bound=None, rng=None):

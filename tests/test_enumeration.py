@@ -9,6 +9,7 @@ from rackring import (
     ClassRegistry,
     EnumerationFilter,
     Perm,
+    RackTable,
     canonical_key,
     centralizer_order_in_sym,
     count,
@@ -125,9 +126,9 @@ def test_shuffle_stability():
         assert forms(enumerate_racks(order_seven, rng=random.Random(seed))) == base
 
 
-def emitted(filt):
+def emitted(filt, search=_RowSearch, seed=None):
     tables = []
-    _RowSearch(filt, tables.append).run()
+    search(filt, tables.append, rng=None if seed is None else random.Random(seed)).run()
     return tables
 
 
@@ -137,22 +138,124 @@ def digest(tables):
 
 def test_symmetry_pruning_emits_fewer_tables():
     # fixing only row 0 emits 1405 tables for the 298 quandles of order 7
-    # and 917 for the 353 racks of order 6
+    # and 917 for the 353 racks of order 6; the stabiliser rule emitted 788
+    # and 608
     quandles = emitted(EnumerationFilter(7, quandle_only=True))
     racks = emitted(EnumerationFilter(6))
-    assert 298 <= len(quandles) < 1405
-    assert 353 <= len(racks) < 917
+    assert 298 <= len(quandles) < 400
+    assert 353 <= len(racks) < 400
     assert all(validate_table(rows).ok for rows in quandles + racks)
-    # table for table and in order: the quandle sequences of the search that
-    # still re-checked rows at entry, looked for pinned rows and ranked types,
-    # and the rack sequences since rows are admitted by shape, not cycle type
-    # alone
+    # table for table and in order: the sequences of the lex-leader rule
     connected_quandles = emitted(EnumerationFilter(7, quandle_only=True, connected_only=True))
     connected_racks = emitted(EnumerationFilter(6, connected_only=True))
-    assert (len(racks), digest(racks)) == (608, "636b3737731ce2cc")
-    assert (len(quandles), digest(quandles)) == (788, "1c5e96f398f1263f")
-    assert (len(connected_quandles), digest(connected_quandles)) == (52, "d0e7da4ecd23a240")
-    assert (len(connected_racks), digest(connected_racks)) == (37, "d97243674c603d79")
+    assert (len(racks), digest(racks)) == (385, "69712ce753c4e524")
+    assert (len(quandles), digest(quandles)) == (389, "0fdbbfe7fb77fa08")
+    assert (len(connected_quandles), digest(connected_quandles)) == (35, "4cefed33532ef2e4")
+    assert (len(connected_racks), digest(connected_racks)) == (30, "f74a9d39bd32a8c2")
+
+
+def test_order_eight_connected_emission_counts():
+    # 229 and 346 under the stabiliser rule
+    assert len(emitted(EnumerationFilter(8, quandle_only=True, connected_only=True))) == 92
+    assert len(emitted(EnumerationFilter(8, connected_only=True))) == 158
+
+
+class StabilizerSearch(_RowSearch):
+    """The rule the lex-leader rule replaced, as a reference: a candidate
+    row is tried only if it is the least of its conjugates under the maps of
+    the root group that fix every assigned index and the branch index and
+    commute with every assigned row."""
+
+    def _settle(self, trail):
+        return []
+
+    def _branch(self, group=None):
+        rows = self.rows
+        if group is None:
+            group = _centralizer_fixing(rows[0], 0)
+        if len(self.assigned) == self.n:
+            self.emit(tuple(rows))
+            return
+        free = [i for i in range(self.n) if rows[i] is None]
+        index = free[0] if self.rng is None else self.rng.choice(free)
+        group = [g for g in group if g[0][index] == index]
+        for shape in self._shuffled(self.shapes):
+            for q in self._shuffled(self.cands[index][shape]):
+                stabilizer = []
+                for g in group:
+                    c, ci = g
+                    conj = tuple(map(c.__getitem__, map(q.__getitem__, ci)))
+                    if conj < q:
+                        break
+                    if conj == q:
+                        stabilizer.append(g)
+                else:
+                    undo = self._try_assign(index, q)
+                    if undo is not None:
+                        self._branch(stabilizer)
+                        self._rollback(*undo)
+
+
+def test_reference_search_reproduces_the_stabilizer_rule_sequences():
+    pins = [
+        (EnumerationFilter(6), 608, "636b3737731ce2cc"),
+        (EnumerationFilter(7, quandle_only=True), 788, "1c5e96f398f1263f"),
+        (EnumerationFilter(7, quandle_only=True, connected_only=True), 52, "d0e7da4ecd23a240"),
+        (EnumerationFilter(6, connected_only=True), 37, "d97243674c603d79"),
+    ]
+    for filt, length, pin in pins:
+        tables = emitted(filt, StabilizerSearch)
+        assert (len(tables), digest(tables)) == (length, pin)
+
+
+def row_keys(tables):
+    return {canonical_key(RackTable._wrap(rows)) for rows in tables}
+
+
+@pytest.mark.parametrize("seed", [None, 2, 11])
+def test_lex_leader_rule_keeps_the_classes_of_the_stabilizer_rule(seed):
+    cases = (
+        [EnumerationFilter(n) for n in range(7)]
+        + [EnumerationFilter(n, quandle_only=True) for n in range(8)]
+        + [EnumerationFilter(n, quandle_only=True, connected_only=True) for n in range(9)]
+        + [EnumerationFilter(n, connected_only=True) for n in range(8)]
+    )
+    for filt in cases:
+        new = emitted(filt, seed=seed)
+        old = emitted(filt, StabilizerSearch, seed)
+        assert len(new) <= len(old)
+        assert row_keys(new) == row_keys(old), filt
+
+
+def relabel(rows, c):
+    """The table c.T: c(a) |> c(b) = c(a |> b)."""
+    image = [[None] * len(rows) for _ in rows]
+    for a, row in enumerate(rows):
+        for b, x in enumerate(row):
+            image[c[a]][c[b]] = c[x]
+    return tuple(map(tuple, image))
+
+
+@pytest.mark.parametrize(
+    "filt",
+    [EnumerationFilter(n) for n in range(6)] + [EnumerationFilter(n, quandle_only=True) for n in range(7)],
+    ids=[f"racks{n}" for n in range(6)] + [f"quandles{n}" for n in range(7)],
+)
+def test_emitted_tables_are_the_lex_leaders_of_their_root_orbits(filt):
+    tables = emitted(filt)
+    assert len(set(tables)) == len(tables)
+    found = set(tables)
+    for rows in tables:
+        if not rows:
+            continue
+        for c, _ in _centralizer_fixing(rows[0], 0):
+            image = relabel(rows, c)
+            assert image[0] == rows[0]
+            assert rows <= image
+            # the least table of an orbit is the one emitted, so no other
+            assert image == rows or image not in found
+    for seed in (1, 4, 9):
+        assert set(emitted(filt, seed=seed)) == found
 
 
 def shape(rows, a):
@@ -172,8 +275,7 @@ def shape(rows, a):
 def test_emitted_rows_have_shapes_at_most_the_root(filt, seed):
     # the root takes the largest shape of its table, and a connected rack's
     # rows are all conjugate by inner automorphisms, which keep the shape
-    tables = []
-    _RowSearch(filt, tables.append, rng=None if seed is None else random.Random(seed)).run()
+    tables = emitted(filt, seed=seed)
     assert tables
     for rows in tables:
         root = shape(rows, 0)
@@ -189,14 +291,14 @@ class InvariantCheckingSearch(_RowSearch):
 
     branches = 0
 
-    def _branch(self, group):
+    def _branch(self):
         rows = self.rows
         free = [x for x in range(self.n) if rows[x] is None]
         for a in self.assigned:
             assert all(rows[rows[a][b]] is not None for b in self.assigned)
             assert all(rows[rows[a][x]] is None for x in free)
         self.branches += 1
-        super()._branch(group)
+        super()._branch()
 
 
 @pytest.mark.parametrize("filt", [EnumerationFilter(5), EnumerationFilter(6, quandle_only=True)], ids=["racks5", "quandles6"])
