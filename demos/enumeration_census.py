@@ -4,7 +4,7 @@ The generator branches over whole rows under the conjugation constraint.
 A canonical first row, a maximal-type rule and orbit pruning under the
 permutations that keep the assigned rows cut symmetry, and a connected
 search offers only rows of the first row's cycle type; canonical keys
-deduplicate the survivors.  The whole census takes about two seconds.
+deduplicate the survivors.  The whole census takes about a second.
 """
 
 import time

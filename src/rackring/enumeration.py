@@ -115,7 +115,8 @@ class _RowSearch:
 
     Propagation fills a |> b for every assigned pair, so after each
     successful `_try_assign` the assigned indices are closed under |>.  Each
-    row, a bijection, maps that set onto itself, so no free row is pinned.
+    row, a bijection, maps that set onto itself, so no free row is pinned,
+    and a candidate q with L_q(a).q != q.L_a for assigned a, q(a) goes untried.
 
     A map c of the root group relabels a completion T into another,
     (c.T)[k] = c.T[c^-1(k)].c^-1, and T survives only if T <= c.T for every
@@ -250,6 +251,17 @@ class _RowSearch:
             self.rng.shuffle(items)
         return items
 
+    def _clashes(self, index, q, assigned):
+        """Whether row q at `index` breaks L_q(a).q = q.L_a, as `_try_assign` would find."""
+        rows, xs = self.rows, self.identity
+        for a, row in assigned:
+            image = rows[q[a]]
+            if image is not None:
+                for x in xs:
+                    if q[row[x]] != image[q[x]]:
+                        return True
+        return False
+
     def _branch(self):
         rows = self.rows
         if len(self.assigned) == self.n:
@@ -259,8 +271,11 @@ class _RowSearch:
         index = free[0] if self.rng is None else self.rng.choice(free)
         # the maps that fix the branch index and agree below it test q first
         fixing = [(c, ci) for c, ci, k in self.waiting[index] if k == index == ci[index]]
+        assigned = [(a, rows[a]) for a in self.assigned]
         for shape in self._shuffled(self.shapes):
             for q in self._shuffled(self.cands[index][shape]):
+                if self._clashes(index, q, assigned):
+                    continue
                 for c, ci in fixing:
                     if tuple(map(c.__getitem__, map(q.__getitem__, ci))) < q:
                         break

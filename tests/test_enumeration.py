@@ -31,12 +31,17 @@ def test_small_rack_counts():
     assert count(EnumerationFilter(2)) == 2
     assert count(EnumerationFilter(3)) == 6
     assert count(EnumerationFilter(4)) == 19
+    assert count(EnumerationFilter(5)) == 74
+    assert count(EnumerationFilter(6)) == 353
 
 
 def test_quandle_counts():
     assert count(EnumerationFilter(3, quandle_only=True)) == 3
     assert count(EnumerationFilter(4, quandle_only=True)) == 7
     assert count(EnumerationFilter(5, quandle_only=True)) == 22
+    assert count(EnumerationFilter(6, quandle_only=True)) == 73
+    assert count(EnumerationFilter(7, quandle_only=True)) == 298
+    assert count(EnumerationFilter(8, quandle_only=True)) == 1581
 
 
 def forms(tables):
@@ -308,6 +313,59 @@ def test_assigned_indices_stay_closed_under_the_operation(filt, seed):
     search = InvariantCheckingSearch(filt, tables.append, rng=None if seed is None else random.Random(seed))
     search.run()
     assert search.branches > len(tables) > 0
+
+
+class ClashCheckingSearch(_RowSearch):
+    """Tries every candidate that `_clashes` rejects on the live state, where
+    `_try_assign` must refuse it too."""
+
+    rejected = 0
+
+    def _clashes(self, index, q, assigned):
+        if not super()._clashes(index, q, assigned):
+            return False
+        assert self._try_assign(index, q) is None
+        self.rejected += 1
+        return True
+
+
+@pytest.mark.parametrize(
+    "filt",
+    [EnumerationFilter(n) for n in range(6)]
+    + [EnumerationFilter(n, quandle_only=True) for n in range(7)]
+    + [EnumerationFilter(n, connected_only=True) for n in range(7)],
+    ids=[f"racks{n}" for n in range(6)] + [f"quandles{n}" for n in range(7)] + [f"connected{n}" for n in range(7)],
+)
+@pytest.mark.parametrize("seed", [None, 4, 9])
+def test_rejected_candidates_fail_their_trial(filt, seed):
+    tables = []
+    search = ClashCheckingSearch(filt, tables.append, rng=None if seed is None else random.Random(seed))
+    search.run()
+    # the refused trials roll back, so the search goes on as before
+    assert tables == emitted(filt, seed=seed)
+    if filt.order >= 5:
+        assert search.rejected > 0
+
+
+class TrialCountingSearch(_RowSearch):
+    trials = 0
+
+    def _try_assign(self, index, row):
+        self.trials += 1
+        return super()._try_assign(index, row)
+
+
+def test_trial_assignments_are_pinned():
+    # 10190, 8898 and 1097 before candidates were rejected on the assigned rows
+    pins = [
+        (EnumerationFilter(6), 1850),
+        (EnumerationFilter(7, quandle_only=True), 2677),
+        (EnumerationFilter(7, quandle_only=True, connected_only=True), 535),
+    ]
+    for filt, trials in pins:
+        search = TrialCountingSearch(filt, lambda rows: None)
+        search.run()
+        assert search.trials == trials, filt
 
 
 def test_root_group_is_the_centralizer_fixing_the_root_point():

@@ -5,6 +5,8 @@ triangular in injections and turn Burnside ring products into products of
 integers.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from rackring import (
@@ -36,10 +38,29 @@ def test_connected_classes_counted(connected):
     assert [sum(1 for r in connected if r.n == n) for n in range(1, BOUND + 1)] == [1, 1, 2, 2, 4, 4, 6, 6]
 
 
+def rational_rank(matrix):
+    """Rank over the rationals, by exact Gaussian elimination."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
 def test_mark_columns_are_distinct(connected):
     matrix = mark_matrix(connected, connected)
     columns = {tuple(row[j] for row in matrix) for j in range(len(connected))}
     assert len(columns) == len(connected)
+    # full rank: an element supported on these classes is fixed by its marks
+    assert rational_rank(matrix) == len(connected) == 26
+    assert rational_rank([[1, 2], [2, 4]]) == 1
 
 
 def test_injective_marks_are_triangular(connected):
