@@ -1,10 +1,13 @@
 """Counting racks and quandles up to isomorphism.
 
 The generator branches over whole rows under the conjugation constraint.
-A canonical first row, a maximal-type rule and orbit pruning under the
-permutations that keep the assigned rows cut symmetry, and a connected
-search offers only rows of the first row's cycle type; canonical keys
-deduplicate the survivors.  The whole census takes about a second.
+Row 0 takes a canonical layout of the largest row shape of its table, and a
+connected search offers only rows of that shape.  The relabellings that keep
+row 0 map completions onto completions, and only the lex-least completion of
+each orbit survives (the lex-leader rule).  A forward check skips every
+candidate row that breaks L_{a |> b} = L_a L_b L_a^-1 against the assigned
+rows before it is tried.  Canonical keys deduplicate the survivors.  The
+whole script takes about 1.2 s on an Intel Xeon host.
 """
 
 import time

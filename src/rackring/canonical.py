@@ -172,9 +172,7 @@ def table_bytes(r: RackTable) -> bytes:
     """Serialize a table as-is: 4-byte big-endian order, 2-byte entries."""
     if r.n > MAX_DEGREE:
         raise ValueError(f"order {r.n} exceeds the serializable bound {MAX_DEGREE}")
-    return struct.pack(">I", r.n) + b"".join(
-        struct.pack(">H", e) for row in r.table for e in row
-    )
+    return struct.pack(f">I{r.n * r.n}H", r.n, *(e for row in r.table for e in row))
 
 
 def canonical_key(r: RackTable) -> bytes:

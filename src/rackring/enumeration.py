@@ -45,54 +45,34 @@ class EnumerationFilter(namedtuple("EnumerationFilter", "order quandle_only conn
         return super().__new__(cls, order, quandle_only, connected_only)
 
 
-def _partitions(n, largest):
-    if n == 0:
-        yield ()
-        return
-    for part in range(min(n, largest), 0, -1):
-        for rest in _partitions(n - part, part):
-            yield (part,) + rest
-
-
-def _shapes(n, quandle_only):
-    """Row shapes (cycle type, length of the cycle through the row's own
-    index), largest first; a quandle's rows fix their index, so j = 1."""
-    for t in _partitions(n, n):
-        for j in sorted(set(t), reverse=True):
-            if j == 1 or not quandle_only:
-                yield t, j
-
-
-def _root_rows(n, quandle_only):
-    """Canonical candidate rows for index 0, one per admissible shape.
+def _root_row(t, j):
+    """The canonical row for index 0 of shape (t, j): the cycles of t as
+    consecutive blocks, the one through 0 first and of length j.
 
     Any table can be relabeled so that an element whose row has maximal
     shape sits at index 0 with its row in this layout, so restricting
-    row 0 to these shapes loses no isomorphism class.
+    row 0 to these layouts loses no isomorphism class.
     """
-    roots = []
-    for t, j in _shapes(n, quandle_only):
-        rest = list(t)
-        rest.remove(j)
-        images = []
-        for length in (j, *rest):
-            start = len(images)
-            images += range(start + 1, start + length)
-            images.append(start)
-        roots.append(tuple(images))
-    return roots
+    rest = list(t)
+    rest.remove(j)
+    images = []
+    for length in (j, *rest):
+        start = len(images)
+        images += range(start + 1, start + length)
+        images.append(start)
+    return tuple(images)
 
 
-def _centralizer_fixing(row, point):
+def _centralizer_fixing(row):
     """The permutations other than the identity that commute with `row` and
-    fix `point`, each paired with its inverse.
+    fix 0, each paired with its inverse.
 
-    Such a permutation fixes the cycle of `point` pointwise and sends the
-    other cycles of `row` to cycles of the same length, each with a rotation.
-    They are generated by the rotations of those cycles and by the swaps of
+    Such a permutation fixes the cycle of 0 pointwise and sends the other
+    cycles of `row` to cycles of the same length, each with a rotation.  They
+    are generated by the rotations of those cycles and by the swaps of
     consecutive cycles of equal length, point by point from their least points.
     """
-    cycles = sorted((cycle for cycle in _cycles(row) if point not in cycle), key=len)
+    cycles = sorted((cycle for cycle in _cycles(row) if 0 not in cycle), key=len)
     identity = tuple(range(len(row)))
     gens = [tuple(row[x] if x in cycle else x for x in identity) for cycle in cycles if len(cycle) > 1]
     for xs, ys in zip(cycles, cycles[1:]):
@@ -133,18 +113,18 @@ class _RowSearch:
         self.emit = emit
         self.rng = rng
         self.identity = tuple(range(n))
-        shapes = list(_shapes(n, filt.quandle_only))
-        self.roots = list(zip(shapes, _root_rows(n, filt.quandle_only)))
-        # cands[i][s]: the rows admissible at index i of shape s, largest s first
-        self.cands = [{s: [] for s in shapes} for _ in range(n)]
+        # cands[i][s]: the rows admissible at index i of shape s
+        self.cands = [{} for _ in range(n)]
         for p in permutations(range(n)):
             cycles = _cycles(p)
             t = tuple(sorted(map(len, cycles), reverse=True))
             for cycle in cycles:
                 shape = t, len(cycle)
-                if shape in self.cands[0]:
+                if len(cycle) == 1 or not filt.quandle_only:
                     for i in cycle:
-                        self.cands[i][shape].append(p)
+                        self.cands[i].setdefault(shape, []).append(p)
+        # one root per admissible shape, largest first
+        self.roots = [(s, _root_row(*s)) for s in sorted(self.cands[0], reverse=True)] if n else []
         self.rows = [None] * n
         self.invs = [None] * n
         self.assigned = []
@@ -158,9 +138,9 @@ class _RowSearch:
             self.emit(())
             return
         for shape, root in self._shuffled(self.roots):
-            self.shapes = [shape] if self.connected_only else [s for s in self.cands[0] if s <= shape]
+            self.shapes = [shape] if self.connected_only else [s for s, _ in self.roots if s <= shape]
             # the identity root's one completion, the trivial rack, is fixed by every map
-            group = _centralizer_fixing(root, 0) if root != self.identity else []
+            group = _centralizer_fixing(root) if root != self.identity else []
             self.waiting[0] = [(c, ci, 0) for c, ci in group]
             undo = self._try_assign(0, root)
             if undo is not None:

@@ -167,8 +167,9 @@ class RackTable:
         return RackTable._wrap(rows)
 
     def restrict(self, subset) -> "RackTable":
-        """The rack on a subrack subset, reindexed order-preservingly."""
-        subset = tuple(sorted(subset))
+        """The rack on a subrack subset, reindexed order-preservingly;
+        repeated points count once."""
+        subset = tuple(sorted(set(subset)))
         if not is_subrack(self, subset):
             raise ValueError(f"{subset} is not a subrack")
         index = {x: i for i, x in enumerate(subset)}

@@ -73,6 +73,14 @@ def test_key_round_trip_serialization():
             key_table(bad)
 
 
+def test_table_bytes_layout_and_degree_bound():
+    # a 4-byte big-endian order, then the entries row by row, 2 bytes each
+    assert canonical.table_bytes(cycle_rack(2)) == bytes.fromhex("00000002" + "0001000000010000")
+    assert canonical.table_bytes(RackTable([])) == bytes(4)
+    with pytest.raises(ValueError, match="order 65536 exceeds the serializable bound 65535"):
+        canonical.table_bytes(RackTable._wrap([()] * 65536))
+
+
 def test_distinct_structures_have_distinct_keys():
     assert canonical_key(trivial(2)) != canonical_key(cycle_rack(2))
 

@@ -19,7 +19,7 @@ from rackring import (
     populate_registry,
     validate_table,
 )
-from rackring.enumeration import _centralizer_fixing, _root_rows, _RowSearch
+from rackring.enumeration import _centralizer_fixing, _RowSearch
 
 
 def keyset(tables):
@@ -177,7 +177,7 @@ class StabilizerSearch(_RowSearch):
     def _branch(self, group=None):
         rows = self.rows
         if group is None:
-            group = _centralizer_fixing(rows[0], 0)
+            group = _centralizer_fixing(rows[0])
         if len(self.assigned) == self.n:
             self.emit(tuple(rows))
             return
@@ -253,7 +253,7 @@ def test_emitted_tables_are_the_lex_leaders_of_their_root_orbits(filt):
     for rows in tables:
         if not rows:
             continue
-        for c, _ in _centralizer_fixing(rows[0], 0):
+        for c, _ in _centralizer_fixing(rows[0]):
             image = relabel(rows, c)
             assert image[0] == rows[0]
             assert rows <= image
@@ -368,11 +368,30 @@ def test_trial_assignments_are_pinned():
         assert search.trials == trials, filt
 
 
-def test_root_group_is_the_centralizer_fixing_the_root_point():
+@pytest.fixture(scope="module")
+def searches():
+    """The search objects of orders 0 to 8, racks and quandles, built once."""
+    return {(n, q): _RowSearch(EnumerationFilter(n, quandle_only=q), None) for n in range(9) for q in (False, True)}
+
+
+def test_search_shapes_are_the_row_shapes_of_the_symmetric_group(searches):
+    # every (cycle type, length of the cycle through the row's index) of a
+    # permutation, largest first, with j = 1 in quandle searches; order 0
+    # has no rows
+    for n in range(8):
+        brute = {shape((p,), 0) for p in permutations(range(n)) if p}
+        for quandle_only in (False, True):
+            expected = sorted((s for s in brute if s[1] == 1 or not quandle_only), reverse=True)
+            roots = searches[n, quandle_only].roots
+            assert [s for s, _ in roots] == expected
+            assert all(shape((root,), 0) == s for s, root in roots)
+
+
+def test_root_group_is_the_centralizer_fixing_the_root_point(searches):
     for n in range(1, 9):
         for quandle_only in (False, True):
-            for root in _root_rows(n, quandle_only):
-                group = _centralizer_fixing(root, 0)
+            for _, root in searches[n, quandle_only].roots:
+                group = _centralizer_fixing(root)
                 elements = {c for c, _ in group}
                 assert len(elements) == len(group)
                 assert tuple(range(n)) not in elements

@@ -220,6 +220,14 @@ def test_restrict_requires_subrack():
         dihedral(3).restrict((0, 1))
 
 
+def test_restrict_counts_repeated_points_once():
+    assert dihedral(3).restrict([0, 0]) == trivial(1)
+    assert trivial(3).restrict([2, 0, 2]) == trivial(2)
+    d6 = dihedral(6)
+    assert d6.restrict([4, 0, 2, 0]) == d6.restrict([0, 2, 4])
+    assert validate_table(d6.restrict([4, 0, 2, 0]).table).ok
+
+
 def test_self_fixed_part_is_an_ideal(racks_by_order):
     # elements with a |> a = a form the maximal sub-quandle, and the image
     # of such an element under any left multiplication is again self-fixed
