@@ -100,11 +100,11 @@ class _RowSearch:
 
     A map c of the root group relabels a completion T into another,
     (c.T)[k] = c.T[c^-1(k)].c^-1, and T survives only if T <= c.T for every
-    c, rows compared in index order.  Each pending c carries the least index
-    k at which T and c.T may differ; once rows k and c^-1(k) are assigned, a
-    smaller image prunes the node, a larger one drops c and an equal one
-    moves k on.  So the emitted tables, one per orbit, do not depend on the
-    branching order.
+    c, rows compared in index order.  `pending` carries down the recursion
+    each live c with the least index k at which T and c.T may differ; once
+    rows k and c^-1(k) are assigned, a smaller image prunes the node, a
+    larger one drops c and an equal one moves k on.  So the emitted tables,
+    one per orbit, do not depend on the branching order.
     """
 
     def __init__(self, filt, emit, rng=None):
@@ -129,9 +129,8 @@ class _RowSearch:
         self.invs = [None] * n
         self.assigned = []
         self.shapes = None
-        # waiting[i]: the pending maps (c, c^-1, k) whose row k of T and c.T
-        # waits on row i (k, or c^-1(k) when row k is assigned)
-        self.waiting = [[] for _ in range(n)]
+        # the live maps (c, c^-1, k): T and c.T agree on the rows below k
+        self.pending = []
 
     def run(self):
         if self.n == 0:
@@ -141,7 +140,7 @@ class _RowSearch:
             self.shapes = [shape] if self.connected_only else [s for s, _ in self.roots if s <= shape]
             # the identity root's one completion, the trivial rack, is fixed by every map
             group = _centralizer_fixing(root) if root != self.identity else []
-            self.waiting[0] = [(c, ci, 0) for c, ci in group]
+            self.pending = [(c, ci, 0) for c, ci in group]
             undo = self._try_assign(0, root)
             if undo is not None:
                 self._branch()
@@ -149,7 +148,7 @@ class _RowSearch:
 
     def _try_assign(self, index, row):
         """Assign `row`, propagate conjugation constraints and settle the
-        waiting maps; the arguments of `_rollback`, or None on conflict.
+        pending maps; the arguments of `_rollback`, or None on conflict.
 
         `row` comes from the root layouts or the candidate lists, and a
         propagated row p.r.p^-1 at p(a), for r at a, has the cycle type of r
@@ -157,8 +156,8 @@ class _RowSearch:
         admitted shape.  A constraint on an assigned index is checked at once;
         a constraint on a free index waits in the queue.
         """
-        rows, invs = self.rows, self.invs
-        trail = []
+        rows, invs, assigned = self.rows, self.invs, self.assigned
+        mark = len(assigned)
         # (index, p, r, p^-1): the row at index is p.r.p^-1
         identity = self.identity
         queue = [(index, identity, row, identity)]
@@ -167,63 +166,57 @@ class _RowSearch:
             q = tuple(map(p.__getitem__, map(r.__getitem__, pi)))
             if rows[i] is not None:
                 if rows[i] != q:
-                    self._rollback(trail)
+                    self._rollback(mark)
                     return None
                 continue
             rows[i] = q
             invs[i] = qi = _invert(q)
-            self.assigned.append(i)
-            trail.append(i)
-            for a in self.assigned:
+            assigned.append(i)
+            for a in assigned:
                 ra, ia = rows[a], invs[a]
                 j = q[a]
                 if rows[j] is None:
                     queue.append((j, q, ra, qi))
                 elif rows[j] != tuple(map(q.__getitem__, map(ra.__getitem__, qi))):
-                    self._rollback(trail)
+                    self._rollback(mark)
                     return None
                 j = ra[i]
                 if rows[j] is None:
                     queue.append((j, ra, q, ia))
                 elif rows[j] != tuple(map(ra.__getitem__, map(q.__getitem__, ia))):
-                    self._rollback(trail)
+                    self._rollback(mark)
                     return None
-        merged = self._settle(trail)
-        if merged is not None:
-            return trail, merged
-        self._rollback(trail)
+        pending = self._settle()
+        if pending is not None:
+            previous, self.pending = self.pending, pending
+            return mark, previous
+        self._rollback(mark)
 
-    def _settle(self, trail):
-        """Move on the maps waiting on the rows in `trail`, merging each list
-        once; None if a completion would be greater than its image."""
-        rows, waiting, n = self.rows, self.waiting, self.n
-        moved = {}
-        for i in trail:
-            for c, ci, k in waiting[i]:
-                while k < n:
-                    r, s = rows[k], rows[ci[k]]
-                    if r is None or s is None:
-                        moved.setdefault(k if r is None else ci[k], []).append((c, ci, k))
-                        break
-                    image = tuple(map(c.__getitem__, map(s.__getitem__, ci)))
-                    if r != image:
-                        if r > image:
-                            return None
-                        break
-                    k += 1
-        merged = []
-        for j, maps in moved.items():
-            merged.append((j, len(waiting[j])))
-            waiting[j] += maps
-        return merged
+    def _settle(self):
+        """The pending maps moved on over the assigned rows; None if a
+        completion would be greater than its image."""
+        rows, n = self.rows, self.n
+        pending = []
+        for c, ci, k in self.pending:
+            while k < n:
+                r, s = rows[k], rows[ci[k]]
+                if r is None or s is None:
+                    pending.append((c, ci, k))
+                    break
+                image = tuple(map(c.__getitem__, map(s.__getitem__, ci)))
+                if r != image:
+                    if r > image:
+                        return None
+                    break
+                k += 1
+        return pending
 
-    def _rollback(self, trail, merged=()):
-        for j, size in merged:
-            del self.waiting[j][size:]
-        for i in reversed(trail):
-            self.rows[i] = None
-            self.invs[i] = None
-            self.assigned.pop()
+    def _rollback(self, mark, pending=None):
+        if pending is not None:
+            self.pending = pending
+        for i in self.assigned[mark:]:
+            self.rows[i] = self.invs[i] = None
+        del self.assigned[mark:]
 
     def _shuffled(self, items):
         if self.rng is not None:
@@ -250,7 +243,7 @@ class _RowSearch:
         free = [i for i in range(self.n) if rows[i] is None]
         index = free[0] if self.rng is None else self.rng.choice(free)
         # the maps that fix the branch index and agree below it test q first
-        fixing = [(c, ci) for c, ci, k in self.waiting[index] if k == index == ci[index]]
+        fixing = [(c, ci) for c, ci, k in self.pending if k == index == ci[index]]
         assigned = [(a, rows[a]) for a in self.assigned]
         for shape in self._shuffled(self.shapes):
             for q in self._shuffled(self.cands[index][shape]):

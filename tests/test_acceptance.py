@@ -115,6 +115,11 @@ def test_criterion_04_cycle_arithmetic(ring):
             assert CycleVector({r: 1}) * CycleVector({s: 1}) == oracle(r, s)
     unit = CycleVector.one() - CycleVector({2: 1})
     assert unit * unit == CycleVector.one()
+    for x in (unit, CycleVector({2: 1, 3: 1})):
+        assert x**0 == CycleVector.one()
+        assert x**3 == x * x * x
+    with pytest.raises(ValueError):
+        unit**-1
     for n in range(1, 7):
         u = CycleVector({n: 1})
         assert ring.to_cycles(ring.from_cycles(u)) == u

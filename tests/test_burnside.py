@@ -191,6 +191,8 @@ def test_registry_ids_stable_and_connected_only(ring):
     assert first == second
     with pytest.raises(ValueError):
         ring.registry.register(trivial(2))
+    with pytest.raises(ValueError, match="connected"):
+        ring.class_of(trivial(2))
 
 
 def test_element_text_round_trip(ring):

@@ -248,19 +248,49 @@ def test_corrupt_registry_reports_line(capsys, tmp_path, workspace, dih3_file):
 
     good = Path(registry_file).read_text().splitlines()[0]
     _, order, flags, key = good.split()
+    registry_path, products_path = Path(registry_file), Path(workspace) / "products.txt"
+    # name -> (registry text, products text, how the error starts)
     cases = {
-        "truncated key": f"{good}\n1 3 cq 0000000300\n",
-        "duplicate key": f"{good}\n1 {order} {flags} {key}\n",
-        "disconnected rack": f"{good}\n1 2 cq {canonical_key(trivial(2)).hex()}\n",
+        "truncated key": (f"{good}\n1 3 cq 0000000300\n", "", "error: line 2: "),
+        "duplicate key": (f"{good}\n1 {order} {flags} {key}\n", "", "error: line 2: "),
+        "disconnected rack": (f"{good}\n1 2 cq {canonical_key(trivial(2)).hex()}\n", "", "error: line 2: "),
+        "id gap": (
+            f"{good}\n2 {order} {flags} {key}\n",
+            "",
+            "error: line 2: ids must be contiguous; expected 1, got 2\n",
+        ),
+        "wrong order": (f"0 4 {flags} {key}\n", "", f"error: line 1: corrupt registry entry '0 4 {flags} {key}'\n"),
+        "wrong flags": (f"0 {order} c- {key}\n", "", f"error: line 1: corrupt registry entry '0 {order} c- {key}'\n"),
+        "product without =": (
+            f"{good}\n",
+            f"{key} {key} 9 {key}\n",
+            "error: line 1: expected `<hex> <hex> = [<coeff> <hex> ...]`\n",
+        ),
+        "non-hex product key": (f"{good}\n", f"{key} zz = 3 {key}\n", "error: line 1: corrupt product entry: "),
     }
-    for name, text in cases.items():
-        with open(registry_file, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    for name, (registry_text, products_text, error) in cases.items():
+        registry_path.write_text(registry_text)
+        products_path.write_text(products_text)
         for argv in (["registry"], ["burnside", dih3_file]):
             code, out, err = run(capsys, "--workspace", workspace, *argv)
             assert code == 1 and out == "", (name, argv)
-            assert err.startswith("error: line 2: ") and "Traceback" not in err, (name, err)
-            assert Path(registry_file).read_text() == text, name
+            assert err.startswith(error) and "Traceback" not in err, (name, err)
+            assert registry_path.read_text() == registry_text, name
+            assert products_path.read_text() == products_text, name
+
+    # a stored product past the product bound reads as written: only its
+    # recomputation under --check meets the bound
+    d13, point = canonical_key(dihedral(13)).hex(), canonical_key(trivial(1)).hex()
+    registry_text, products_text = f"0 13 cq {d13}\n1 1 cq {point}\n", f"{d13} {d13} = 169 {point}\n"
+    registry_path.write_text(registry_text)
+    products_path.write_text(products_text)
+    code, out, err = run(capsys, "--workspace", workspace, "registry")
+    assert code == 0 and out.splitlines()[0] == f"0 13 cq {d13}" and err == ""
+    code, out, err = run(capsys, "--workspace", workspace, "registry", "--check")
+    assert code == 1 and out == ""
+    assert err == f"error: line 1: product of classes of orders 13 and 13 exceeds the product bound {MAX_PRODUCT_ORDER}\n"
+    assert registry_path.read_text() == registry_text
+    assert products_path.read_text() == products_text
 
 
 def test_mul_command(capsys, tmp_path, workspace, dih3_file):

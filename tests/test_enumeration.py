@@ -161,8 +161,10 @@ def test_symmetry_pruning_emits_fewer_tables():
 
 def test_order_eight_connected_emission_counts():
     # 229 and 346 under the stabiliser rule
-    assert len(emitted(EnumerationFilter(8, quandle_only=True, connected_only=True))) == 92
-    assert len(emitted(EnumerationFilter(8, connected_only=True))) == 158
+    quandles = emitted(EnumerationFilter(8, quandle_only=True, connected_only=True))
+    racks = emitted(EnumerationFilter(8, connected_only=True))
+    assert (len(quandles), digest(quandles)) == (92, "c324ddb2e89750f9")
+    assert (len(racks), digest(racks)) == (158, "729c54101b4a6c26")
 
 
 class StabilizerSearch(_RowSearch):
@@ -171,7 +173,7 @@ class StabilizerSearch(_RowSearch):
     the root group that fix every assigned index and the branch index and
     commute with every assigned row."""
 
-    def _settle(self, trail):
+    def _settle(self):
         return []
 
     def _branch(self, group=None):
@@ -443,6 +445,8 @@ def test_bounds_are_enforced():
         enumerate_racks(EnumerationFilter(9, quandle_only=True))
     with pytest.raises(ValueError):
         enumerate_racks_naive(EnumerationFilter(5))
+    with pytest.raises(ValueError):
+        EnumerationFilter(-1)
     # and the bound is configuration, not a constant
     assert count(EnumerationFilter(2), bound=2) == 2
 
