@@ -1,8 +1,9 @@
 """Finite racks and quandles: structure, canonical forms, Burnside rings.
 
 The public names below load from their home modules on first use (PEP 562),
-so `import rackring`, and each `rackring` command, compiles only the modules
-that it runs.
+so `import rackring` compiles no submodule; a `rackring` command loads what
+the CLI imports (`burnside`, `canonical`, `structure`, `racks` and theirs) and
+`groups`, `enumeration`, `marks` and `reports` only if it runs them.
 """
 
 import importlib

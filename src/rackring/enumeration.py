@@ -34,6 +34,7 @@ from .structure import is_connected
 DEFAULT_QUANDLE_BOUND = 8
 DEFAULT_RACK_BOUND = 6
 NAIVE_BOUND = 4
+_POINTS = bytes(range(256))
 
 
 class EnumerationFilter(namedtuple("EnumerationFilter", "order quandle_only connected_only")):
@@ -93,6 +94,12 @@ class _RowSearch:
     of its table, with j = 1 in quandle searches (row a sends a to a |> a)
     and equal to the root's in connected ones, whose rows are all conjugate.
 
+    Rows and root maps are translation tables, n images and then _POINTS[n:]
+    (listing S_n keeps n far below 256): q.translate(p) is p.q and
+    bytes.maketrans(p, _POINTS) is p^-1.  Tables compare as their image
+    tuples do.  Candidates are their n images, padded when tried; `emit`
+    receives tuples of n-tuples.
+
     Propagation fills a |> b for every assigned pair, so after each
     successful `_try_assign` the assigned indices are closed under |>.  Each
     row, a bijection, maps that set onto itself, so no free row is pinned,
@@ -112,10 +119,9 @@ class _RowSearch:
         self.connected_only = filt.connected_only
         self.emit = emit
         self.rng = rng
-        self.identity = tuple(range(n))
         # cands[i][s]: the rows admissible at index i of shape s
         self.cands = [{} for _ in range(n)]
-        for p in permutations(range(n)):
+        for p in map(bytes, permutations(range(n))):
             cycles = _cycles(p)
             t = tuple(sorted(map(len, cycles), reverse=True))
             for cycle in cycles:
@@ -126,7 +132,6 @@ class _RowSearch:
         # one root per admissible shape, largest first
         self.roots = [(s, _root_row(*s)) for s in sorted(self.cands[0], reverse=True)] if n else []
         self.rows = [None] * n
-        self.invs = [None] * n
         self.assigned = []
         self.shapes = None
         # the live maps (c, c^-1, k): T and c.T agree on the rows below k
@@ -136,12 +141,14 @@ class _RowSearch:
         if self.n == 0:
             self.emit(())
             return
+        tail = _POINTS[self.n :]
         for shape, root in self._shuffled(self.roots):
             self.shapes = [shape] if self.connected_only else [s for s, _ in self.roots if s <= shape]
-            # the identity root's one completion, the trivial rack, is fixed by every map
-            group = _centralizer_fixing(root) if root != self.identity else []
-            self.pending = [(c, ci, 0) for c, ci in group]
-            undo = self._try_assign(0, root)
+            # the identity root (no cycle longer than 1) has one completion, the
+            # trivial rack, which every map fixes
+            group = _centralizer_fixing(root) if shape[0][0] > 1 else []
+            self.pending = [(bytes(c) + tail, bytes(ci) + tail, 0) for c, ci in group]
+            undo = self._try_assign(0, bytes(root) + tail)
             if undo is not None:
                 self._branch()
                 self._rollback(*undo)
@@ -156,36 +163,27 @@ class _RowSearch:
         admitted shape.  A constraint on an assigned index is checked at once;
         a constraint on a free index waits in the queue.
         """
-        rows, invs, assigned = self.rows, self.invs, self.assigned
+        rows, assigned = self.rows, self.assigned
         mark = len(assigned)
-        # (index, p, r, p^-1): the row at index is p.r.p^-1
-        identity = self.identity
-        queue = [(index, identity, row, identity)]
+        # (index, p, r): the row x at index has x.p = p.r
+        queue = [(index, _POINTS, row)]
         while queue:
-            i, p, r, pi = queue.pop()
-            q = tuple(map(p.__getitem__, map(r.__getitem__, pi)))
+            i, p, r = queue.pop()
             if rows[i] is not None:
-                if rows[i] != q:
+                if p.translate(rows[i]) != r.translate(p):
                     self._rollback(mark)
                     return None
                 continue
-            rows[i] = q
-            invs[i] = qi = _invert(q)
+            rows[i] = q = bytes.maketrans(p, _POINTS).translate(r.translate(p))
             assigned.append(i)
             for a in assigned:
-                ra, ia = rows[a], invs[a]
-                j = q[a]
-                if rows[j] is None:
-                    queue.append((j, q, ra, qi))
-                elif rows[j] != tuple(map(q.__getitem__, map(ra.__getitem__, qi))):
-                    self._rollback(mark)
-                    return None
-                j = ra[i]
-                if rows[j] is None:
-                    queue.append((j, ra, q, ia))
-                elif rows[j] != tuple(map(ra.__getitem__, map(q.__getitem__, ia))):
-                    self._rollback(mark)
-                    return None
+                ra = rows[a]
+                for j, x, y in (q[a], q, ra), (ra[i], ra, q):
+                    if rows[j] is None:
+                        queue.append((j, x, y))
+                    elif x.translate(rows[j]) != y.translate(x):
+                        self._rollback(mark)
+                        return None
         pending = self._settle()
         if pending is not None:
             previous, self.pending = self.pending, pending
@@ -203,7 +201,7 @@ class _RowSearch:
                 if r is None or s is None:
                     pending.append((c, ci, k))
                     break
-                image = tuple(map(c.__getitem__, map(s.__getitem__, ci)))
+                image = ci.translate(s).translate(c)
                 if r != image:
                     if r > image:
                         return None
@@ -215,7 +213,7 @@ class _RowSearch:
         if pending is not None:
             self.pending = pending
         for i in self.assigned[mark:]:
-            self.rows[i] = self.invs[i] = None
+            self.rows[i] = None
         del self.assigned[mark:]
 
     def _shuffled(self, items):
@@ -226,31 +224,32 @@ class _RowSearch:
 
     def _clashes(self, index, q, assigned):
         """Whether row q at `index` breaks L_q(a).q = q.L_a, as `_try_assign` would find."""
-        rows, xs = self.rows, self.identity
+        rows, short = self.rows, q[: self.n]
         for a, row in assigned:
             image = rows[q[a]]
-            if image is not None:
-                for x in xs:
-                    if q[row[x]] != image[q[x]]:
-                        return True
+            if image is not None and short.translate(image) != row.translate(q):
+                return True
         return False
 
     def _branch(self):
-        rows = self.rows
-        if len(self.assigned) == self.n:
-            self.emit(tuple(rows))
+        rows, n = self.rows, self.n
+        if len(self.assigned) == n:
+            self.emit(tuple(tuple(row[:n]) for row in rows))
             return
-        free = [i for i in range(self.n) if rows[i] is None]
+        free = [i for i in range(n) if rows[i] is None]
         index = free[0] if self.rng is None else self.rng.choice(free)
         # the maps that fix the branch index and agree below it test q first
         fixing = [(c, ci) for c, ci, k in self.pending if k == index == ci[index]]
-        assigned = [(a, rows[a]) for a in self.assigned]
+        # n images, not 256: the clash test translates these as data
+        assigned = [(a, rows[a][:n]) for a in self.assigned]
+        tail = _POINTS[n:]
         for shape in self._shuffled(self.shapes):
             for q in self._shuffled(self.cands[index][shape]):
+                q += tail
                 if self._clashes(index, q, assigned):
                     continue
                 for c, ci in fixing:
-                    if tuple(map(c.__getitem__, map(q.__getitem__, ci))) < q:
+                    if ci.translate(q).translate(c) < q:
                         break
                 else:
                     undo = self._try_assign(index, q)

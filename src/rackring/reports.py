@@ -75,9 +75,9 @@ def decomposition_cancellation_search(max_order: int = 6) -> SurveyResult:
     return result
 
 
-def prime_factorization_ambiguity_scan(max_order: int = 8, *, ring=None) -> SurveyResult:
+def prime_factorization_ambiguity_scan(max_order: int = 8) -> SurveyResult:
     """Look for connected quandles admitting two distinct prime factorizations."""
-    ring = ring if ring is not None else BurnsideRing()
+    ring = BurnsideRing()
     result = SurveyResult("uniqueness of prime quandle factorizations")
     memo = {}
 
@@ -124,10 +124,10 @@ def _small_crossed_sets(max_group_order: int = 12) -> list:
     return out
 
 
-def diagonal_product_experiment(max_group_order: int = 12, *, ring=None) -> SurveyResult:
+def diagonal_product_experiment(max_group_order: int = 12) -> SurveyResult:
     """Compare classes of diagonal-product racks with ring products of the
     factor classes; agreements and disagreements are both recorded."""
-    ring = ring if ring is not None else BurnsideRing()
+    ring = BurnsideRing()
     result = SurveyResult("diagonal crossed product versus ring product of images")
     crossed = _small_crossed_sets(max_group_order)
     by_group = {}

@@ -167,6 +167,34 @@ def test_order_eight_connected_emission_counts():
     assert (len(racks), digest(racks)) == (158, "729c54101b4a6c26")
 
 
+def test_default_bound_sequences_are_pinned():
+    # racks of order 7, one past the default rack bound, and quandles of
+    # the default bound 8, table for table
+    racks = emitted(EnumerationFilter(7))
+    quandles = emitted(EnumerationFilter(8, quandle_only=True))
+    assert (len(racks), digest(racks)) == (2339, "e27148076595b775")
+    assert (len(quandles), digest(quandles)) == (2170, "ecfa01bfc2615f02")
+
+
+def test_try_assign_rechecks_an_assigned_index():
+    # a queue entry for an index assigned since it was queued is checked
+    # against the row there: the first entry of a trial at an assigned index
+    search = _RowSearch(EnumerationFilter(3, quandle_only=True), None)
+
+    def table(images):
+        return bytes(images) + bytes(range(len(images), 256))
+
+    assert search._try_assign(0, table((0, 2, 1))) is not None
+    rows, assigned = list(search.rows), list(search.assigned)
+    assert assigned == [0]
+    # the same row passes and assigns nothing new
+    mark, _ = search._try_assign(0, table((0, 2, 1)))
+    assert mark == 1 and search.assigned == assigned
+    # another row fails and leaves the state as it was
+    assert search._try_assign(0, table((0, 1, 2))) is None
+    assert search.rows == rows and search.assigned == assigned
+
+
 class StabilizerSearch(_RowSearch):
     """The rule the lex-leader rule replaced, as a reference: a candidate
     row is tried only if it is the least of its conjugates under the maps of
@@ -179,9 +207,9 @@ class StabilizerSearch(_RowSearch):
     def _branch(self, group=None):
         rows = self.rows
         if group is None:
-            group = _centralizer_fixing(rows[0])
+            group = _centralizer_fixing(rows[0][: self.n])
         if len(self.assigned) == self.n:
-            self.emit(tuple(rows))
+            self.emit(tuple(tuple(row[: self.n]) for row in rows))
             return
         free = [i for i in range(self.n) if rows[i] is None]
         index = free[0] if self.rng is None else self.rng.choice(free)
@@ -191,13 +219,13 @@ class StabilizerSearch(_RowSearch):
                 stabilizer = []
                 for g in group:
                     c, ci = g
-                    conj = tuple(map(c.__getitem__, map(q.__getitem__, ci)))
+                    conj = bytes(map(c.__getitem__, map(q.__getitem__, ci)))
                     if conj < q:
                         break
                     if conj == q:
                         stabilizer.append(g)
                 else:
-                    undo = self._try_assign(index, q)
+                    undo = self._try_assign(index, q + bytes(range(self.n, 256)))
                     if undo is not None:
                         self._branch(stabilizer)
                         self._rollback(*undo)

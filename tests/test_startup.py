@@ -1,5 +1,6 @@
-"""Lazy loading: the package exports its names on first use, and each command
-imports only the modules it runs."""
+"""Lazy loading: the package exports its names on first use, and a command
+imports `groups`, `enumeration`, `marks` and `reports` only if it runs them;
+the modules the CLI imports load in every command."""
 
 import importlib
 import os
