@@ -164,6 +164,13 @@ def _cycle_factors(vector) -> str:
     return " ".join(f"{k}^{vector[k]}" for k in sorted(vector)) if vector else "-"
 
 
+def _element_list(text):  # the type of --h
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}") from None
+
+
 # -- command handlers -----------------------------------------------------------
 
 
@@ -313,9 +320,8 @@ def cmd_coset_rack(args):
     from .groups import coset_rack, parse_group
 
     group = parse_group(_read_text(args.group))
-    subgroup = tuple(int(tok) for tok in args.subgroup.split(","))
-    table = coset_rack(group, subgroup, args.mu)
-    strict = set(subgroup) <= set(group.centralizer(args.mu))
+    table = coset_rack(group, args.subgroup, args.mu)
+    strict = set(args.subgroup) <= set(group.centralizer(args.mu))
     if args.output:
         save_rack(table, args.output)
     lines = [f"order {table.n} quandle {str(table.is_quandle()).lower()} centralizing {str(strict).lower()}"]
@@ -448,7 +454,7 @@ def build_parser():
 
     p = sub.add_parser("coset-rack", help="rack on cosets of a subgroup")
     p.add_argument("group")
-    p.add_argument("--h", dest="subgroup", required=True, help="comma-separated subgroup elements")
+    p.add_argument("--h", dest="subgroup", type=_element_list, required=True, help="comma-separated subgroup elements")
     p.add_argument("--mu", type=int, required=True)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_coset_rack)

@@ -205,8 +205,11 @@ def symmetric_group(m: int) -> FinGroup:
 
 def group_from_permutations(degree: int, gens) -> tuple:
     """Closure of permutation generators: (FinGroup, element Perm list)."""
-    elements = _closure(Perm.identity(degree), list(gens), lambda x, g: g * x)
-    return _tabulate(elements, Perm.__mul__)[0], elements
+    gens = [g.images for g in gens]
+    if any(len(g) != degree for g in gens):
+        raise ValueError("degree mismatch")
+    images = _closure(tuple(range(degree)), gens, lambda x, g: _compose(g, x))
+    return _tabulate(images, _compose)[0], list(map(Perm._wrap, images))
 
 
 def dihedral_group(order: int) -> FinGroup:

@@ -1,9 +1,9 @@
 """Permutations of {0, ..., n-1} and a small permutation-group kernel.
 
-The group machinery is a deterministic Schreier-Sims stabilizer chain:
-enough for orders, membership tests, orbits and element listing of the
-inner and automorphism groups that show up for small racks.  It makes no
-attempt at large-degree performance.
+The group machinery is a deterministic Schreier-Sims stabilizer chain on
+image tuples, for the inner and automorphism groups of small racks, with
+`elements()` listing the whole group breadth-first by the one closure,
+`_closure`.  It makes no attempt at large-degree performance.
 """
 
 from __future__ import annotations
@@ -208,7 +208,8 @@ class PermGroup:
     The chain is grown by sifting each generator in, in the order given.
     It is built deterministically: each new base point is the least point
     moved by the residue that forced it, so orders, orbits and element
-    listings are reproducible.
+    listings are reproducible.  The chain holds image tuples, not `Perm`s;
+    `elements()` lists the whole group at once, breadth-first.
     """
 
     def __init__(self, degree, generators=()):
@@ -219,33 +220,33 @@ class PermGroup:
         self.degree = degree
         self.generators = generators
         self._base = []
-        self._strong = []  # strong generators fixing base[:level]
-        self._transversal = []  # dicts point -> coset representative
+        self._strong = []  # image tuples of the strong generators fixing base[:level]
+        self._transversal = []  # dicts point -> image tuple of its coset representative
         for g in generators:
-            self._sift_in(g, 0)
+            self._sift_in(g.images, 0)
 
     # -- chain construction -------------------------------------------------
 
     def _orbit_transversal(self, level):
         b = self._base[level]
         gens = self._strong[level]
-        tr = {b: Perm.identity(self.degree)}
+        tr = {b: tuple(range(self.degree))}
         queue = [b]
         for p in queue:  # the list grows while it is walked
             for g in gens:
-                q = g(p)
+                q = g[p]
                 if q not in tr:
-                    tr[q] = g * tr[p]
+                    tr[q] = _compose(g, tr[p])
                     queue.append(q)
         self._transversal[level] = tr
 
     def _strip(self, g, level):
         for i in range(level, len(self._base)):
-            p = g(self._base[i])
+            p = g[self._base[i]]
             tr = self._transversal[i]
             if p not in tr:
                 return g, i
-            g = tr[p].inverse() * g
+            g = _compose(_invert(tr[p]), g)
         return g, len(self._base)
 
     def _sift_in(self, g, level):
@@ -254,10 +255,10 @@ class PermGroup:
         dropped out at (a new base point, its least moved point, if it passed
         them all), and those levels are completed again, deepest first."""
         residue, drop = self._strip(g, level)
-        if residue.is_identity():
+        if residue == tuple(range(self.degree)):
             return
         if drop == len(self._base):
-            self._base.append(min(i for i in range(self.degree) if residue(i) != i))
+            self._base.append(min(i for i in range(self.degree) if residue[i] != i))
             self._strong.append([])
             self._transversal.append({})
         for j in range(level, drop + 1):
@@ -271,21 +272,18 @@ class PermGroup:
         for point in sorted(tr):
             rep = tr[point]
             for s in list(self._strong[level]):
-                self._sift_in(tr[s(point)].inverse() * (s * rep), level + 1)
+                self._sift_in(_compose(_invert(tr[s[point]]), _compose(s, rep)), level + 1)
 
     # -- queries -------------------------------------------------------------
 
     def order(self):
-        out = 1
-        for tr in self._transversal:
-            out *= len(tr)
-        return out
+        return math.prod(map(len, self._transversal))
 
     def contains(self, p: Perm) -> bool:
         if p.degree != self.degree:
             raise ValueError("degree mismatch")
-        residue, level = self._strip(p, 0)
-        return residue.is_identity() and level == len(self._base)
+        residue, level = self._strip(p.images, 0)
+        return residue == tuple(range(self.degree)) and level == len(self._base)
 
     def __contains__(self, p):
         return self.contains(p)
@@ -298,18 +296,8 @@ class PermGroup:
         return self.degree >= 1 and len(self.orbits()) == 1
 
     def elements(self):
-        """Iterate all group elements in a deterministic order."""
-
-        def rec(level):
-            if level == len(self._base):
-                yield Perm.identity(self.degree)
-                return
-            tr = self._transversal[level]
-            for point in sorted(tr):
-                for rest in rec(level + 1):
-                    yield tr[point] * rest
-
-        yield from rec(0)
+        """Iterate over the whole group, listed at once breadth-first."""
+        return map(Perm._wrap, _closure(tuple(range(self.degree)), [g.images for g in self.generators], _compose))
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order()})"

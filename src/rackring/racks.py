@@ -355,13 +355,15 @@ def _read_text(path):
 
 def _write_text(path, text):
     """Replace `path` by a file holding `text`: write a temporary file in the
-    same directory, then rename it over `path`, so readers and crashes see
-    the old content or the new, never a partial file."""
+    same directory, then rename it over `path`, so readers and crashes see the
+    old content or the new, never a partial file.  A failure names `path`."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from None
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)

@@ -312,6 +312,24 @@ def test_mul_command(capsys, tmp_path, workspace, dih3_file):
     assert registry.entry(class_id).order == 9
 
 
+def test_output_into_a_missing_directory_names_the_output(capsys, tmp_path, workspace, dih3_file):
+    from rackring import canonical_key, cyclic_group
+
+    run(capsys, "--workspace", workspace, "burnside", dih3_file)
+    element_file = tmp_path / "x.elem"
+    element_file.write_text(f"1 {canonical_key(dihedral(3)).hex()}\n")
+    group_file = tmp_path / "c6.group"
+    group_file.write_text(format_group(cyclic_group(6)))
+    for argv in (
+        ["--workspace", workspace, "mul", str(element_file), str(element_file)],
+        ["coset-rack", str(group_file), "--h", "0,2,4", "--mu", "1"],
+    ):
+        output = tmp_path / "nodir" / "out"
+        code, out, err = run(capsys, *argv, "-o", str(output))
+        assert (code, out, err) == (1, "", f"error: cannot write {output}: No such file or directory\n")
+        assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+
+
 def test_mul_command_bounds_product_order(capsys, tmp_path, workspace, dih3_file):
     from rackring import canonical_key
 
@@ -436,6 +454,19 @@ def test_coset_rack_command(capsys, tmp_path):
     code, out, err = run(capsys, "coset-rack", str(group_file), "--h", "0,1", "--mu", "3")
     assert (code, out) == (1, "")
     assert err == "error: invalid pair: some commutator [h, mu] leaves the normal core\n"
+
+
+@pytest.mark.parametrize("subgroup", ["0,", "abc", "0,,2", ""])
+def test_coset_rack_malformed_subgroup_is_a_usage_error(capsys, tmp_path, subgroup):
+    from rackring import cyclic_group
+
+    group_file = tmp_path / "c6.group"
+    group_file.write_text(format_group(cyclic_group(6)))
+    with pytest.raises(SystemExit) as exc:
+        main(["coset-rack", str(group_file), "--h", subgroup, "--mu", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --h: not a comma-separated list of integers: {subgroup!r}" in err
 
 
 def test_coset_rack_command_computes_one_normal_core(capsys, tmp_path, monkeypatch):

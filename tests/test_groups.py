@@ -1046,6 +1046,11 @@ def _dihedral_generators(m):
     return [Perm.from_cycles(m, list(range(m))), Perm._wrap(tuple((-i) % m for i in range(m)))]
 
 
+def test_group_from_permutations_rejects_a_generator_of_another_degree():
+    with pytest.raises(ValueError, match="degree mismatch"):
+        group_from_permutations(3, [Perm.from_cycles(4, [0, 3])])
+
+
 def test_tabulate_matches_the_all_pairs_reference(racks_by_order):
     """Each table builder's groups, the crossed groups of small racks and the
     173 subgroups: the same Cayley table and index as mul on all n^2 pairs,
