@@ -147,11 +147,11 @@ def _canonical_search(table):
                 return depth
             tried.append(v)
             new, seen = auts[seen:], len(auts)  # each fixes `fixed`: see the docstring
+            reached |= _reach(gens, [v])  # reached is a union of orbits, and v lies in none of them
             if new:
                 gens.extend(new)
-                reached = _reach(gens, tried)
-            else:  # reached is a union of orbits, and v lies in none of them
-                reached |= _reach(gens, [v])
+                if not reached.issuperset(target):
+                    reached = _reach(gens, tried)
         return len(fixed)
 
     if n == 0:

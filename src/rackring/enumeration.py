@@ -10,8 +10,9 @@ connected rack, whose rows are conjugate by inner automorphisms, has one
 shape.  Symmetry is cut three ways.  Row 0 takes a canonical layout for the
 largest shape of its table, so the other rows have shapes up to it, j = 1 in
 quandle searches and exactly it in connected ones.  The relabellings that
-keep the root, its centralizer fixing 0, map completions onto completions,
-and only the least completion of each orbit survives: rows are compared in
+keep the root, its centralizer fixing 0, map completions onto completions;
+the canonical search of the root's permutation rack generates that group.
+Only the least completion of each orbit survives: rows are compared in
 index order as soon as both are assigned (the lex-leader rule of Crawford,
 Ginsberg, Luks and Roy, 1996, as orbit pruning in the sense of McKay,
 Isomorph-free exhaustive generation, 1998).  Every isomorphism class keeps at
@@ -26,7 +27,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import permutations, product
 
-from .canonical import canonical_form, table_bytes
+from .canonical import _canonical_search, canonical_form, table_bytes
 from .perms import _closure, _compose, _cycles, _invert
 from .racks import RackTable, _distributivity_failure
 from .structure import is_connected
@@ -64,25 +65,20 @@ def _root_row(t, j):
     return tuple(images)
 
 
-def _centralizer_fixing(row):
-    """The permutations other than the identity that commute with `row` and
-    fix 0, each paired with its inverse.
+def _centralizer_fixing(root):
+    """The permutations other than the identity that commute with the root
+    layout `root` (a tuple or bytes) and fix 0, each paired with its inverse.
 
-    Such a permutation fixes the cycle of 0 pointwise and sends the other
-    cycles of `row` to cycles of the same length, each with a rotation.  They
-    are generated by the rotations of those cycles and by the swaps of
-    consecutive cycles of equal length, point by point from their least points.
+    Such a c fixes the cycle of 0, the block 0..j-1, pointwise, as
+    c(root^k(0)) = root^k(0).  On the other points it is exactly an
+    automorphism of the permutation rack b |> x = root(x): the canonical
+    search gives generators of that group, and the closure lists it.
     """
-    cycles = sorted((cycle for cycle in _cycles(row) if 0 not in cycle), key=len)
-    identity = tuple(range(len(row)))
-    gens = [tuple(row[x] if x in cycle else x for x in identity) for cycle in cycles if len(cycle) > 1]
-    for xs, ys in zip(cycles, cycles[1:]):
-        if len(xs) == len(ys):
-            c = list(identity)
-            for x, y in zip(xs, ys):
-                c[x], c[y] = y, x
-            gens.append(tuple(c))
-    return [(c, _invert(c)) for c in _closure(identity, gens, _compose)[1:]]
+    j = root.index(0) + 1  # a root layout starts with the cycle of 0
+    rest = tuple(x - j for x in root[j:])
+    _, _, gens = _canonical_search((rest,) * len(rest))  # the permutation rack b |> x = rest(x)
+    group = _closure(tuple(range(len(rest))), gens, _compose)[1:]
+    return [(c, _invert(c)) for c in (tuple(range(j)) + tuple(x + j for x in g) for g in group)]
 
 
 class _RowSearch:

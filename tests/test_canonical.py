@@ -514,6 +514,18 @@ def test_trivial_rack_of_order_100_keys_within_budget():
     assert time.process_time() - start < 8 * unit
 
 
+def test_relabeled_trivial_rack_of_order_200_keys_within_five_seconds():
+    # after each child the pruning re-walks its orbits over the 19,900 transpositions
+    # only while the target cell is not yet covered
+    images = list(range(200))
+    random.Random(200).shuffle(images)
+    relabeled = trivial(200).relabel(Perm(images))
+    start = time.process_time()
+    key = canonical_key(relabeled)
+    assert time.process_time() - start < 5
+    assert key == canonical.table_bytes(trivial(200))
+
+
 def test_order_125_product_keys_like_a_relabeling():
     # the digest is that of the key of d5^3 in its built labeling, pinned above
     d5 = dihedral(5)
